@@ -17,7 +17,7 @@ import numpy as np
 
 from .oracle import concave_envelope, value_iteration
 from .solver import (NoIntervention, assemble_value, scan_slopes,
-                     stopping_value)
+                     stopping_grid, stopping_value)
 from .transform import finiteness_check
 
 
@@ -28,36 +28,32 @@ class PropertyCheck:
     detail: str
 
 
-def _sample_ys(ctx, vrep, rng, n):
+def _sample_ys(ctx, vrep, rng, shape):
+    """F at uniform states of the solved range, sorted along the last axis."""
     x_lo, x_hi = ctx.window
     if ctx.absorbing:
         x_lo = ctx.problem.diffusion.lo
-    xs = rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi, n)
+    xs = rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi, shape)
     return np.sort(np.asarray(ctx.pair.F(xs), dtype=float))
 
 
 def _w_of(ctx, vrep):
     def W(y):
-        ys = np.asarray(y, dtype=float)
-        xs = np.asarray([ctx.pair.F_inv(float(v)) for v in np.atleast_1d(ys)])
-        vals = (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
+        xs = ctx.pair.F_inv(y)
+        return (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
             / np.asarray(ctx.pair.phi(xs), dtype=float)
-        return vals if ys.ndim else float(vals[0])
     return W
 
 
 def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
     """Transformed excess value lies above its chords."""
     rng = np.random.default_rng(seed)
-    W = _w_of(ctx, vrep)
-    worst = -math.inf
-    for _ in range(n_triples):
-        y1, y2, y3 = np.sort(_sample_ys(ctx, vrep, rng, 3))
-        if y3 - y1 < 1e-9 * (1 + abs(y3)):
-            continue
-        w1, w2, w3 = (float(W(y)) for y in (y1, y2, y3))
-        chord = w1 + (w3 - w1) * (y2 - y1) / (y3 - y1)
-        worst = max(worst, chord - w2)
+    ys = _sample_ys(ctx, vrep, rng, (n_triples, 3))
+    ys = ys[ys[:, 2] - ys[:, 0] >= 1e-9 * (1 + np.abs(ys[:, 2]))]
+    y1, y2, y3 = ys.T
+    w1, w2, w3 = _w_of(ctx, vrep)(ys.ravel()).reshape(ys.shape).T
+    chord = w1 + (w3 - w1) * (y2 - y1) / (y3 - y1)
+    worst = float(np.max(chord - w2, initial=-math.inf))
     ok = worst <= tol
     return PropertyCheck(
         "f_concavity_chords", ok,
@@ -102,11 +98,12 @@ def check_majorant(ctx, vrep, n=400, rel_tol=1e-7):
 
 def check_contraction(ctx, a, deltas=(0.1, 1.0, 10.0), slack=1e-7):
     """Stopping value grows by at most delta when the bonus grows by delta."""
+    grid = stopping_grid(ctx)
     base_gamma = 0.0
-    v0 = stopping_value(ctx, a, base_gamma)
+    v0 = stopping_value(ctx, a, base_gamma, grid=grid)
     worst = -math.inf
     for d in deltas:
-        vd = stopping_value(ctx, a, base_gamma + d)
+        vd = stopping_value(ctx, a, base_gamma + d, grid=grid)
         worst = max(worst, (vd - v0) - d)
     ok = worst <= slack * 10
     return PropertyCheck(
@@ -119,12 +116,13 @@ def check_gamma_sign_change(ctx, targets, n_gamma=60, seed=5):
     rng = np.random.default_rng(seed)
     targets = np.asarray(targets, dtype=float)
     picks = rng.choice(targets, size=min(20, targets.size), replace=False)
+    grid = stopping_grid(ctx)
     bad = []
     tested = 0
     for a in picks:
         try:
             from .solver import solve_gamma
-            gstar = solve_gamma(ctx, float(a))
+            gstar = solve_gamma(ctx, float(a), grid=grid)
         except NoIntervention:
             continue
         except Exception:
@@ -133,7 +131,8 @@ def check_gamma_sign_change(ctx, targets, n_gamma=60, seed=5):
         tested += 1
         gammas = np.linspace(0.0, 2.5 * max(gstar, 1e-6), n_gamma)
         vals = np.array([
-            stopping_value(ctx, float(a), float(g)) - g for g in gammas])
+            stopping_value(ctx, float(a), float(g), grid=grid) - g
+            for g in gammas])
         signs = np.sign(vals[np.abs(vals) > 1e-12 * (1 + np.abs(vals).max())])
         flips = int(np.sum(np.diff(signs) != 0))
         if flips != 1:

@@ -13,8 +13,9 @@ functions evaluated through the Hermite-function integral
 
     Hermite(nu, z) = (1/Gamma(-nu)) * int_0^inf exp(-t^2 - 2 t z) t^(-nu-1) dt
 
-for nu < 0.  Everything else goes through a shooting construction on the
-initial slope.
+for nu < 0; its psi and phi are then read from a log-space Chebyshev table
+built once over the pair window.  Everything else goes through a shooting
+construction on the initial slope.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import CatalogMissError, ImpulseError, ValidationError
-from .numerics import bisect_root
 
 __all__ = [
     "FundamentalPair",
@@ -61,6 +61,7 @@ _WG = np.array([
     0.129484966168870,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+_Z_BLOCK = 256
 
 
 def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
@@ -68,7 +69,9 @@ def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
 
     The substitution t = u^(1/p) absorbs the endpoint singularity exactly;
     the transformed integrand is then handled by adaptive Gauss-Kronrod
-    panels, initially split at the integrand mode.
+    panels, initially split at the integrand mode.  Each refinement pass
+    splits, in one vectorized evaluation, every panel whose error exceeds
+    an equal share of the tolerance; if no panel did, the total would pass.
     """
     zs = np.atleast_1d(np.asarray(zs, dtype=float))
     t_peak = np.maximum(0.0, -zs)
@@ -88,18 +91,23 @@ def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
                                          max_panels)
             start = stop
         return out
+    if zs.size > _Z_BLOCK:
+        # fixed-size blocks keep the (panels, 15, z) temporaries small
+        return np.concatenate([
+            _hermite_integral(p, zs[i:i + _Z_BLOCK], abs_tol, rel_tol,
+                              max_panels)
+            for i in range(0, zs.size, _Z_BLOCK)])
     t_max = float(np.max(t_peak)) + 9.5
     u_max = t_max ** p
     inv_p = 1.0 / p
 
-    def panel(a, b):
-        # returns (kronrod per z, error per z)
+    def panels(a, b):
+        # kronrod sums and error estimates, shape (panels, z)
         half = 0.5 * (b - a)
-        u = a + half * (_XK + 1.0)
-        t = u ** inv_p
-        g = np.exp(-(t * t)[:, None] - 2.0 * t[:, None] * zs[None, :])
-        k15 = half * (_WK[:, None] * g).sum(axis=0)
-        g7 = half * (_WG[:, None] * g[_GAUSS_IDX]).sum(axis=0)
+        t = (a[:, None] + half[:, None] * (_XK + 1.0)) ** inv_p
+        g = np.exp(-(t * t)[:, :, None] - 2.0 * t[:, :, None] * zs)
+        k15 = half[:, None] * (_WK @ g)
+        g7 = half[:, None] * (_WG @ g[:, _GAUSS_IDX])
         return k15, np.abs(k15 - g7)
 
     # initial breakpoints: geometric cluster at 0 plus the global mode
@@ -110,31 +118,30 @@ def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
     if 0.0 < mode < u_max:
         brk.add(mode)
         brk.add(min(u_max, 2.0 * mode))
-    edges = sorted(brk)
+    edges = np.array(sorted(brk))
 
-    panels = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = panel(a, b)
-        panels.append([a, b, val, err])
-
+    a, b = edges[:-1], edges[1:]
+    val, err = panels(a, b)
     while True:
-        total = sum(pl[2] for pl in panels)
-        toterr = sum(pl[3] for pl in panels)
-        tol = abs_tol + rel_tol * np.abs(total)
+        toterr = err.sum(axis=0)
+        tol = abs_tol + rel_tol * np.abs(val.sum(axis=0))
         if np.all(toterr <= tol):
-            break
-        if len(panels) >= max_panels:
+            return val.sum(axis=0)
+        if a.size >= max_panels:
             raise ImpulseError(
                 "Hermite quadrature did not converge "
                 f"(residual {float(np.max(toterr - tol)):.3e})")
-        worst = max(range(len(panels)), key=lambda i: float(np.max(panels[i][3])))
-        a, b, _, _ = panels.pop(worst)
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            val, err = panel(aa, bb)
-            panels.append([aa, bb, val, err])
-
-    return sum(pl[2] for pl in panels)
+        # a NaN error counts as too large, so the panel cap still ends it
+        split = ~np.all(err <= tol / a.size, axis=1)
+        mid = 0.5 * (a[split] + b[split])
+        new_a = np.concatenate([a[split], mid])
+        new_b = np.concatenate([mid, b[split]])
+        new_val, new_err = panels(new_a, new_b)
+        keep = ~split
+        a = np.concatenate([a[keep], new_a])
+        b = np.concatenate([b[keep], new_b])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
 
 
 def hermite_fn(nu, z, abs_tol=1e-12, rel_tol=1e-10):
@@ -158,6 +165,98 @@ def parabolic_cylinder(nu, z):
     if zs.ndim == 0:
         return float(out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Log-space Chebyshev table
+# ---------------------------------------------------------------------------
+
+_CHEB_DEGREE = 40
+_CHEB_TAIL_TOL = 1e-13      # last three log coefficients of an accepted piece
+_CHEB_MAX_DEPTH = 6         # halvings before a piece keeps the exact evaluator
+_CHEB_NODES = np.cos(np.pi * np.arange(_CHEB_DEGREE + 1) / _CHEB_DEGREE)
+_CHEB_WEIGHTS = (-1.0) ** np.arange(_CHEB_DEGREE + 1)
+_CHEB_WEIGHTS[[0, -1]] *= 0.5
+
+
+def _lobatto_transform(n):
+    """Matrix taking values at the n+1 Chebyshev-Lobatto nodes to the
+    coefficients of the interpolating Chebyshev series."""
+    j = np.arange(n + 1)
+    m = (2.0 / n) * np.cos(np.pi * np.outer(j, j) / n)
+    m[:, [0, n]] *= 0.5
+    m[[0, n], :] *= 0.5
+    return m
+
+
+# node values -> the last three coefficients, the acceptance test of a piece
+_CHEB_TAIL = _lobatto_transform(_CHEB_DEGREE)[-3:]
+
+
+def _barycentric(s, values):
+    """Interpolant through ``values`` at the Lobatto nodes, read at s in
+    [-1, 1] by the second barycentric formula (stable on these nodes)."""
+    diff = s[:, None] - _CHEB_NODES
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    w = _CHEB_WEIGHTS / diff
+    out = (w @ values) / w.sum(axis=1)
+    rows, cols = np.nonzero(hit)
+    out[rows] = values[cols]
+    return out
+
+
+def _log_chebyshev(exact, lo, hi):
+    """``exact`` read from a piecewise Chebyshev interpolant of its log.
+
+    The interpolant is built once on [lo, hi]: a piece starts as the whole
+    interval, takes a degree-40 interpolant of log(exact) on its
+    Chebyshev-Lobatto nodes and is accepted when the last three
+    coefficients are at most 1e-13; otherwise it is halved.  A piece that
+    still fails after _CHEB_MAX_DEPTH halvings, or whose nodes cannot be
+    priced, keeps ``exact``, as does every point outside [lo, hi].  All
+    pieces of one depth are priced in a single call of ``exact``.
+    """
+    pieces = []         # (lo, hi, log values at the nodes) of accepted pieces
+    pending = [(lo, hi)]
+    for depth in range(_CHEB_MAX_DEPTH + 1):
+        ends = np.asarray(pending)
+        mid = 0.5 * (ends[:, 0] + ends[:, 1])
+        half = 0.5 * (ends[:, 1] - ends[:, 0])
+        nodes = mid[:, None] + half[:, None] * _CHEB_NODES
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                logs = np.log(exact(nodes.ravel())).reshape(nodes.shape)
+        except ImpulseError:
+            logs = np.full(nodes.shape, np.nan)
+        tails = np.abs(logs @ _CHEB_TAIL.T)
+        pending_next = []
+        for (p_lo, p_hi), vals, tail in zip(pending, logs, tails):
+            if np.all(tail <= _CHEB_TAIL_TOL):
+                pieces.append((p_lo, p_hi, vals))
+            elif depth < _CHEB_MAX_DEPTH and np.all(np.isfinite(vals)):
+                p_mid = 0.5 * (p_lo + p_hi)
+                pending_next += [(p_lo, p_mid), (p_mid, p_hi)]
+        pending = pending_next
+        if not pending:
+            break
+
+    def u(x):
+        xs = np.asarray(x, dtype=float)
+        flat = xs.ravel()
+        out = np.empty(flat.shape)
+        todo = np.ones(flat.shape, dtype=bool)
+        for p_lo, p_hi, vals in pieces:
+            sel = todo & (flat >= p_lo) & (flat <= p_hi)
+            if np.any(sel):
+                s = (2.0 * flat[sel] - (p_lo + p_hi)) / (p_hi - p_lo)
+                out[sel] = np.exp(_barycentric(s, vals))
+                todo &= ~sel
+        if np.any(todo):
+            out[todo] = exact(flat[todo])
+        return out.reshape(xs.shape) if xs.ndim else out[0]
+
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -187,26 +286,33 @@ class FundamentalPair:
     def F(self, x):
         return self.psi(x) / self.phi(x)
 
-    def dF(self, x):
-        p, q = self.psi(x), self.phi(x)
-        return (self.dpsi(x) * q - p * self.dphi(x)) / (q * q)
-
     def F_inv(self, y, xtol=1e-10):
+        """x in the window with F(x) = y, elementwise.
+
+        Closed form when the catalog provides one, otherwise one lockstep
+        bisection over the whole array, to xtol * max(1, |window ends|).
+        """
         if self._F_inv_analytic is not None:
             return self._F_inv_analytic(y)
         ys = np.asarray(y, dtype=float)
-        scalar = ys.ndim == 0
-        ys = np.atleast_1d(ys)
         lo, hi = self.window
-        out = np.empty_like(ys)
-        for i, yi in enumerate(ys):
-            if not self.F(lo) <= yi <= self.F(hi):
-                raise ImpulseError(
-                    f"F_inv target {yi} outside F range on window {self.window}")
-            out[i] = bisect_root(
-                lambda x: self.F(x) - yi, lo, hi,
-                xtol=xtol * max(1.0, abs(hi), abs(lo)))
-        return float(out[0]) if scalar else out
+        outside = ~((ys >= self.F(lo)) & (ys <= self.F(hi)))
+        if np.any(outside):
+            raise ImpulseError(
+                f"F_inv target {ys[outside].flat[0]} outside F range on "
+                f"window {self.window}")
+        tol = xtol * max(1.0, abs(hi), abs(lo))
+        a = np.full(ys.shape, float(lo))
+        b = np.full(ys.shape, float(hi))
+        width = hi - lo
+        while width > tol:
+            mid = 0.5 * (a + b)
+            below = self.F(mid) < ys
+            a = np.where(below, mid, a)
+            b = np.where(below, b, mid)
+            width *= 0.5
+        out = 0.5 * (a + b)
+        return out if out.ndim else float(out)
 
     def wronskian(self, x):
         """psi' phi - psi phi', positive iff F is increasing."""
@@ -319,8 +425,13 @@ def _ou_pair(spec, delta, m, sigma0):
     hi = spec.hi if math.isfinite(spec.hi) else math.inf
     win_lo = lo if math.isfinite(lo) else m - 12.0 * sigma0
     win_hi = hi if math.isfinite(hi) else m + 12.0 * sigma0
+    # psi and phi are read from a table over the window, built once here;
+    # the derivatives are evaluated a handful of times per solve and stay
+    # on the quadrature
     return FundamentalPair(
-        psi=psi, phi=phi, dpsi=dpsi, dphi=dphi,
+        psi=_log_chebyshev(psi, win_lo, win_hi),
+        phi=_log_chebyshev(phi, win_lo, win_hi),
+        dpsi=dpsi, dphi=dphi,
         anchor=m, provenance="analytic_ou",
         window=(win_lo, win_hi), F_limit_lo=0.0 if not math.isfinite(lo) else None,
     )

@@ -1,4 +1,4 @@
-"""Scalar root finding and maximization helpers."""
+"""Lockstep golden-section maximization."""
 
 from __future__ import annotations
 
@@ -6,37 +6,6 @@ import math
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
-
-
-def golden_max(f, a, b, xtol=1e-9, max_iter=200):
-    """Golden-section search for a maximizer of ``f`` on [a, b].
-
-    Assumes a single interior maximum; returns (x, f(x)).
-    """
-    lo, hi = float(a), float(b)
-    h = hi - lo
-    if h <= xtol:
-        mid = 0.5 * (lo + hi)
-        return mid, f(mid)
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if h <= xtol:
-            break
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            h = hi - lo
-            x1 = lo + _INVPHI2 * h
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            h = hi - lo
-            x2 = lo + _INVPHI * h
-            f2 = f(x2)
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
 
 
 def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
@@ -86,49 +55,3 @@ def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
     xs = np.where(f1 >= f2, x1, x2)
     fs = np.maximum(f1, f2)
     return xs, fs
-
-
-def bisect_root(f, a, b, xtol=1e-12, ftol=0.0, max_iter=200):
-    """Find a root of ``f`` on a sign-changing bracket [a, b].
-
-    Bisection with a secant acceleration step when it stays inside the
-    bracket.  Raises ValueError if the bracket does not change sign.
-    """
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if fa * fb > 0:
-        raise ValueError(f"bracket [{a}, {b}] does not change sign")
-    lo, hi, flo, fhi = a, b, fa, fb
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        if fhi != flo:
-            sec = lo - flo * (hi - lo) / (fhi - flo)
-            if lo + 0.01 * (hi - lo) < sec < hi - 0.01 * (hi - lo):
-                mid = sec
-        fm = f(mid)
-        if fm == 0.0 or abs(fm) <= ftol:
-            return mid
-        if flo * fm < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def expand_bracket(f, x0, step, grow=2.0, max_iter=80):
-    """Walk right from ``x0`` until ``f`` changes sign; return the bracket."""
-    a, fa = x0, f(x0)
-    s = step
-    for _ in range(max_iter):
-        b = a + s
-        fb = f(b)
-        if fa * fb <= 0:
-            return a, b
-        a, fa = b, fb
-        s *= grow
-    raise ValueError("failed to bracket a sign change")

@@ -289,6 +289,12 @@ def tangency_solve(ctx, a, workspace=None):
 # Gamma fixed point through the parameterized stopping problem
 # ---------------------------------------------------------------------------
 
+def stopping_grid(ctx):
+    """The node set of ``stopping_value`` and ``solve_gamma``; build it once
+    and pass it as ``grid`` when calling them repeatedly."""
+    return make_grid(ctx, n_nodes=max(512, ctx.options.oracle_nodes // 2))
+
+
 def stopping_value(ctx, a, gamma, grid=None):
     """V^gamma_a(a): parameterized stopping value at the target.
 
@@ -297,7 +303,7 @@ def stopping_value(ctx, a, gamma, grid=None):
     evaluated at F(a) and scaled back by phi(a).
     """
     if grid is None:
-        grid = make_grid(ctx, n_nodes=max(512, ctx.options.oracle_nodes // 2))
+        grid = stopping_grid(ctx)
     xs, ys = grid
     mask = xs >= a
     if np.count_nonzero(mask) < 2:
@@ -321,7 +327,7 @@ def solve_gamma(ctx, a, grid=None):
     """
     a = float(a)
     if grid is None:
-        grid = make_grid(ctx, n_nodes=max(512, ctx.options.oracle_nodes // 2))
+        grid = stopping_grid(ctx)
     xs, _ = grid
     above = xs[xs >= a]
     if above.size == 0 or float(np.max(ctx.kbar(above, a))) <= 0.0:

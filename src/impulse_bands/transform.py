@@ -58,13 +58,6 @@ class TransformContext:
         K = self.problem.intervention_reward
         return K(x, y) - self.g(x) + self.g(y)
 
-    def kbar_x(self, x, y, h=None):
-        """Partial of kbar in its first argument, by central differences."""
-        xs = np.asarray(x, dtype=float)
-        if h is None:
-            h = np.maximum(1e-6, 1e-6 * np.abs(xs))
-        return (self.kbar(xs + h, y) - self.kbar(xs - h, y)) / (2.0 * h)
-
     def kbar_extended(self, x, a):
         """kbar(x, a) continued below the target by its diagonal value.
 
@@ -303,33 +296,13 @@ def transformed_reward(ctx, a):
 
     def R(y):
         ys = np.asarray(y, dtype=float)
-        scalar = ys.ndim == 0
-        ys = np.atleast_1d(ys)
-        out = np.empty_like(ys)
-        for i, yi in enumerate(ys):
-            if ctx.absorbing and yi == ctx.F_lo:
-                out[i] = ctx.D
-                continue
-            x = pair.F_inv(yi)
-            out[i] = ctx.kbar_extended(x, a) / pair.phi(x)
-        return float(out[0]) if scalar else out
+        out = np.full(ys.shape, float(ctx.D))
+        free = ~((ys == ctx.F_lo) & ctx.absorbing)
+        x = pair.F_inv(ys[free])
+        out[free] = ctx.kbar_extended(x, a) / pair.phi(x)
+        return out if out.ndim else float(out)
 
     return R
-
-
-def shifted_reward_x(ctx, a, beta):
-    """The curve the value line must majorize, in state coordinates.
-
-    S(x) = R(F(x), a) + W(F(a)) * phi(a) / phi(x) with W the line of slope
-    beta through the pin; returned as a vectorized function of x >= a.
-    """
-    gamma = ctx.pair.phi(a) * ctx.line(ctx.pair.F(a), beta)
-
-    def S(x):
-        xs = np.asarray(x, dtype=float)
-        return (ctx.kbar(xs, a) + gamma) / ctx.pair.phi(xs)
-
-    return S
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from scipy.special import erfc, pbdv
 
 from impulse_bands import (ValidationError, analytic_fundamentals,
-                           hermite_fn, numeric_fundamentals,
-                           parabolic_cylinder)
-from impulse_bands.errors import CatalogMissError
+                           build_context, hermite_fn, numeric_fundamentals,
+                           parabolic_cylinder, scan_slopes)
+from impulse_bands.errors import CatalogMissError, ImpulseError
 from impulse_bands.model import DiffusionSpec
 from impulse_bands.expressions import parse_expr
 
@@ -70,6 +71,14 @@ def test_cylinder_vs_scipy():
             assert parabolic_cylinder(nu, z) == pytest.approx(ref, rel=1e-8)
 
 
+@pytest.mark.parametrize("nu", [-0.3, -1.05, -2.05, -3.5])
+def test_cylinder_vs_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    zs = np.linspace(-6.0, 10.0, 33)
+    ref = np.array([float(mpmath.pcfd(nu, z)) for z in zs])
+    np.testing.assert_allclose(parabolic_cylinder(nu, zs), ref, rtol=1e-9)
+
+
 def test_cylinder_decay_at_plus_infinity():
     assert parabolic_cylinder(-1.05, 10.0) < parabolic_cylinder(-1.05, 5.0)
     assert parabolic_cylinder(-1.05, 10.0) > 0
@@ -104,6 +113,64 @@ def test_ou_pair_monotone():
     assert np.all(np.diff(phi) < 0)
     assert np.all(psi > 0) and np.all(phi > 0)
     assert np.all(np.diff(pair.F(xs)) > 0)
+
+
+def ou_exact(delta, m, sigma, alpha):
+    """Untabulated (psi, phi): the cylinder quadrature at every point."""
+    nu = -alpha / delta
+    root = math.sqrt(2.0 * delta)
+
+    def make(sign):
+        def u(x):
+            z = (np.asarray(x, dtype=float) - m) / sigma
+            return np.exp(0.5 * delta * z * z) \
+                * parabolic_cylinder(nu, sign * z * root)
+        return u
+
+    return make(-1.0), make(1.0)
+
+
+def natural_ou_spec(drift, sigma):
+    return DiffusionSpec(
+        drift=parse_expr(drift, ("x",)),
+        vol=parse_expr(str(sigma), ("x",)),
+        alpha=0.105, lo=-math.inf, hi=math.inf, boundary="natural")
+
+
+# (spec, (delta, m, sigma, alpha), pair window)
+OU_TABLE_CASES = {
+    "ou_dividend": (ou_spec, (0.1, 0.9, 0.35, 0.105), (0.0, 5.1)),
+    "natural": (lambda: natural_ou_spec("0.1*(0.9 - x)", 0.35),
+                (0.1, 0.9, 0.35, 0.105), (-3.3, 5.1)),
+    "natural_wide": (lambda: natural_ou_spec("-0.5*x", 1.0),
+                     (0.5, 0.0, 1.0, 0.105), (-12.0, 12.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OU_TABLE_CASES))
+def test_ou_table_matches_quadrature(case):
+    make_spec, params, window = OU_TABLE_CASES[case]
+    pair = analytic_fundamentals(make_spec())
+    np.testing.assert_allclose(pair.window, window, rtol=1e-12, atol=1e-12)
+    xs = np.linspace(*pair.window, 401)
+    psi, phi = ou_exact(*params)
+    np.testing.assert_allclose(pair.psi(xs), psi(xs), rtol=1e-11)
+    np.testing.assert_allclose(pair.phi(xs), phi(xs), rtol=1e-11)
+    # outside the window the quadrature prices the point: a degree-40
+    # table extrapolated this far would be off by orders of magnitude
+    x_out = pair.window[1] + 1.3
+    assert pair.psi(x_out) == pytest.approx(float(psi(x_out)), rel=1e-12)
+    assert pair.phi(x_out) == pytest.approx(float(phi(x_out)), rel=1e-12)
+
+
+def test_ou_table_keeps_the_solution(ou_cfg, ou_ctx, ou_scan):
+    psi, phi = ou_exact(0.1, 0.9, 0.35, 0.105)
+    exact = dataclasses.replace(ou_ctx.pair, psi=psi, phi=phi)
+    ctx = build_context(ou_cfg.problem, ou_cfg.solver, pair=exact)
+    scan = scan_slopes(ctx)
+    assert ou_scan.policy.slope == pytest.approx(scan.policy.slope, rel=1e-9)
+    np.testing.assert_allclose(ou_scan.policy.bands, scan.policy.bands,
+                               rtol=1e-6)
 
 
 def test_zero_rate_bm_pair():
@@ -192,6 +259,19 @@ def test_numeric_ode_residual(numeric_bm_pair):
     spec = bm_spec()
     assert _ode_residual(spec, numeric_bm_pair,
                          np.linspace(-8, 8, 33)) < 1e-6
+
+
+@pytest.mark.parametrize("which", ["ou", "numeric"])
+def test_F_inv_round_trip_on_arrays(which, numeric_bm_pair):
+    pair = analytic_fundamentals(ou_spec()) if which == "ou" \
+        else numeric_bm_pair
+    lo, hi = pair.window
+    xs = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 57)
+    back = pair.F_inv(pair.F(xs))
+    assert back.shape == xs.shape
+    assert np.max(np.abs(back - xs)) <= 1e-10 * max(1.0, abs(lo), abs(hi))
+    with pytest.raises(ImpulseError):
+        pair.F_inv(np.array([float(pair.F(xs[3])), 2.0 * float(pair.F(hi))]))
 
 
 def test_numeric_interior_anchor_required():
