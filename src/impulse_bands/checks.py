@@ -28,30 +28,27 @@ class PropertyCheck:
     detail: str
 
 
-def _sample_ys(ctx, vrep, rng, shape):
+def _sample_ys(ctx, rng, shape):
     """F at uniform states of the solved range, sorted along the last axis."""
-    x_lo, x_hi = ctx.window
-    if ctx.absorbing:
-        x_lo = ctx.problem.diffusion.lo
+    x_lo, x_hi = ctx.solved_lo, ctx.window[1]
     xs = rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi, shape)
     return np.sort(np.asarray(ctx.pair.F(xs), dtype=float))
 
 
-def _w_of(ctx, vrep):
-    def W(y):
-        xs = ctx.pair.F_inv(y)
-        return (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
-            / np.asarray(ctx.pair.phi(xs), dtype=float)
-    return W
+def _excess(ctx, vrep, xs):
+    """The transformed excess value W = (v - g)/phi at the states xs."""
+    return (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
+        / np.asarray(ctx.pair.phi(xs), dtype=float)
 
 
 def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
     """Transformed excess value lies above its chords."""
     rng = np.random.default_rng(seed)
-    ys = _sample_ys(ctx, vrep, rng, (n_triples, 3))
+    ys = _sample_ys(ctx, rng, (n_triples, 3))
     ys = ys[ys[:, 2] - ys[:, 0] >= 1e-9 * (1 + np.abs(ys[:, 2]))]
     y1, y2, y3 = ys.T
-    w1, w2, w3 = _w_of(ctx, vrep)(ys.ravel()).reshape(ys.shape).T
+    w1, w2, w3 = _excess(ctx, vrep, ctx.pair.F_inv(ys.ravel())) \
+        .reshape(ys.shape).T
     chord = w1 + (w3 - w1) * (y2 - y1) / (y3 - y1)
     worst = float(np.max(chord - w2, initial=-math.inf))
     ok = worst <= tol
@@ -65,11 +62,10 @@ def check_linearity(ctx, vrep, tol=1e-9, n=200):
     if vrep.policy.is_empty:
         return PropertyCheck("continuation_linearity", True, "empty policy")
     b_top = vrep.policy.bands[-1][1]
-    x_lo = ctx.problem.diffusion.lo if ctx.absorbing else ctx.window[0]
+    x_lo = ctx.solved_lo
     xs = np.linspace(x_lo + 1e-6 * (b_top - x_lo), b_top, n)
     ys = np.asarray(ctx.pair.F(xs), dtype=float)
-    W = (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
-        / np.asarray(ctx.pair.phi(xs), dtype=float)
+    W = _excess(ctx, vrep, xs)
     coef = np.polynomial.polynomial.polyfit(ys, W, 1)
     resid = float(np.max(np.abs(W - (coef[0] + coef[1] * ys))))
     ok = resid <= tol
@@ -85,7 +81,7 @@ def check_majorant(ctx, vrep, n=400, rel_tol=1e-7):
     a_star = vrep.policy.bands[-1][0]
     beta = vrep.policy.slope
     xs = np.linspace(a_star, ctx.window[1], n)
-    gamma = float(ctx.pair.phi(a_star)) * float(ctx.line(ctx.pair.F(a_star), beta))
+    gamma = ctx.gamma(a_star, beta)
     shifted = (ctx.kbar(xs, a_star) + gamma) / ctx.pair.phi(xs)
     line = ctx.line(np.asarray(ctx.pair.F(xs), dtype=float), beta)
     gapmin = float(np.min(line - shifted))
@@ -144,15 +140,12 @@ def check_gamma_sign_change(ctx, targets, n_gamma=60, seed=5):
 
 
 def _brute_force_envelope(ys, vals):
-    n = ys.size
-    out = vals.copy()
-    for j in range(n):
-        for k in range(j + 1, n):
-            t = (ys[j + 1:k] - ys[j]) / (ys[k] - ys[j])
-            chord = vals[j] + t * (vals[k] - vals[j])
-            seg = out[j + 1:k]
-            np.maximum(seg, chord, out=seg)
-    return out
+    """vals raised to every chord (j, k), j < k, at the points between."""
+    j, k = (ind[:, None] for ind in np.triu_indices(ys.size, 1))
+    i = np.arange(ys.size)
+    chords = vals[j] + (ys[i] - ys[j]) / (ys[k] - ys[j]) * (vals[k] - vals[j])
+    chords = np.where((j < i) & (i < k), chords, -np.inf)
+    return np.maximum(vals, chords.max(axis=0, initial=-np.inf))
 
 
 def check_envelope_brute_force(n_instances=50, n_points=60, seed=7):

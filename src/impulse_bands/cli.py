@@ -92,9 +92,7 @@ def cmd_solve(args):
     with open(out / "policy.json", "w") as fh:
         json.dump(policy.to_dict(), fh, indent=2)
 
-    x_lo, x_hi = ctx.window
-    if ctx.absorbing:
-        x_lo = ctx.problem.diffusion.lo
+    x_lo, x_hi = ctx.solved_lo, ctx.window[1]
     xs = np.linspace(x_lo, x_hi, 1000)
     _write_csv(out / "value.csv", ["x", "v", "dv"],
                [xs, vrep.value(xs), vrep.derivative(xs)])
@@ -103,8 +101,7 @@ def cmd_solve(args):
 
     if not policy.is_empty:
         a_star, b_top = policy.bands[-1]
-        gamma = float(ctx.pair.phi(a_star)) \
-            * float(ctx.line(ctx.pair.F(a_star), policy.slope))
+        gamma = ctx.gamma(a_star, policy.slope)
         hi_m = min(x_hi, b_top + 0.2 * (x_hi - x_lo))
         xs_m = np.linspace(x_lo + 1e-9 * (hi_m - x_lo), hi_m, 400)
         ys_m = np.asarray(ctx.pair.F(xs_m), dtype=float)

@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import CatalogMissError, ImpulseError, ValidationError
+from .errors import (CatalogMissError, ImpulseError, SolverError,
+                     ValidationError)
+from .numerics import scalar_or_array
 
 __all__ = [
     "FundamentalPair",
@@ -149,22 +151,18 @@ def hermite_fn(nu, z, abs_tol=1e-12, rel_tol=1e-10):
     if nu >= 0:
         raise ValidationError("hermite_fn requires nu < 0")
     p = -float(nu)
-    zs = np.asarray(z, dtype=float)
-    out = _hermite_integral(p, zs, abs_tol, rel_tol) / (p * math.gamma(p))
-    if zs.ndim == 0:
-        return float(out[0])
-    return out.reshape(zs.shape)
+    return scalar_or_array(
+        lambda zs: _hermite_integral(p, zs, abs_tol, rel_tol)
+        / (p * math.gamma(p)), z)
 
 
 def parabolic_cylinder(nu, z):
     """D_nu(z) for nu < 0 via the Hermite-function identity."""
     if nu >= 0:
         raise ValidationError("parabolic_cylinder requires nu < 0")
-    zs = np.asarray(z, dtype=float)
-    out = 2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0) * hermite_fn(nu, zs / math.sqrt(2.0))
-    if zs.ndim == 0:
-        return float(out)
-    return out
+    return scalar_or_array(
+        lambda zs: 2.0 ** (-nu / 2.0) * np.exp(-zs * zs / 4.0)
+        * hermite_fn(nu, zs / math.sqrt(2.0)), z)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,9 @@ class FundamentalPair:
         """
         if self._F_inv_analytic is not None:
             return self._F_inv_analytic(y)
-        ys = np.asarray(y, dtype=float)
+        return scalar_or_array(self._bisect_F, y, xtol)
+
+    def _bisect_F(self, ys, xtol):
         lo, hi = self.window
         outside = ~((ys >= self.F(lo)) & (ys <= self.F(hi)))
         if np.any(outside):
@@ -311,8 +311,7 @@ class FundamentalPair:
             a = np.where(below, mid, a)
             b = np.where(below, b, mid)
             width *= 0.5
-        out = 0.5 * (a + b)
-        return out if out.ndim else float(out)
+        return 0.5 * (a + b)
 
     def wronskian(self, x):
         """psi' phi - psi phi', positive iff F is increasing."""
@@ -471,9 +470,9 @@ class _Segmented:
         self.x_hi = max(max(s[0], s[1]) for s in segments)
 
     def __call__(self, x):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
+        return scalar_or_array(self._evaluate, x)
+
+    def _evaluate(self, xs):
         out = np.empty_like(xs)
         done = np.zeros(xs.shape, dtype=bool)
         for x0, x1, sol, logscale in self.segments:
@@ -488,7 +487,7 @@ class _Segmented:
             raise ImpulseError(
                 f"x={bad} outside the constructed window "
                 f"[{self.x_lo}, {self.x_hi}]")
-        return float(out[0]) if scalar else out
+        return out
 
 
 def _make_rhs(spec):
@@ -535,6 +534,10 @@ def _wkb_roots(spec, x):
     """Local growth/decay rates: roots of (sigma^2/2) k^2 + mu k - alpha."""
     mu = float(spec.drift(x))
     s2 = float(spec.vol(x)) ** 2
+    if s2 == 0.0:
+        raise SolverError(
+            f"volatility vanishes at x={x}: the fundamental pair cannot be "
+            "built by shooting up to that point")
     disc = math.sqrt(mu * mu + 2.0 * spec.alpha * s2)
     return (-mu + disc) / s2, (-mu - disc) / s2
 
@@ -668,10 +671,10 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
     span = x_hi - x_lo
     ext_lo, ext_hi = x_lo, x_hi
     if spec.alpha > 0:
-        gap_lo = max(_wkb_roots(spec, x_lo)[0] - _wkb_roots(spec, x_lo)[1],
-                     1e-6)
-        gap_hi = max(_wkb_roots(spec, x_hi)[0] - _wkb_roots(spec, x_hi)[1],
-                     1e-6)
+        k_plus, k_minus = _wkb_roots(spec, x_lo)
+        gap_lo = max(k_plus - k_minus, 1e-6)
+        k_plus, k_minus = _wkb_roots(spec, x_hi)
+        gap_hi = max(k_plus - k_minus, 1e-6)
         margin_lo = min(max(0.25 * span, 16.0 / gap_lo), 4.0 * span)
         margin_hi = min(max(0.25 * span, 16.0 / gap_hi), 4.0 * span)
     else:

@@ -1,11 +1,32 @@
-"""Lockstep golden-section maximization."""
+"""Shared numerics: finite-difference step, scalar/array call, golden max."""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+
+
+def fd_step(x):
+    """Finite-difference step max(1e-6, 1e-6 |x|) at x."""
+    return np.maximum(1e-6, 1e-6 * np.abs(x))
+
+
+def central_diff(f, x):
+    """f'(x) by a central difference with step fd_step(x)."""
+    h = fd_step(x)
+    return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def scalar_or_array(fn, x, *args):
+    """fn(xs, *args) on x as a float array of at least one dimension; a
+    Python float back for a scalar x, fn's array otherwise."""
+    xs = np.asarray(x, dtype=float)
+    out = fn(np.atleast_1d(xs), *args)
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
@@ -16,8 +37,6 @@ def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
     number of vectorized evaluations at one per iteration, which matters
     when a single evaluation is quadrature-priced.
     """
-    import numpy as np
-
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     n = lo.size

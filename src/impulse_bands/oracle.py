@@ -53,7 +53,7 @@ def concave_envelope(ys, values):
     return np.interp(ys, hx, hv)
 
 
-def pinned_envelope(ys, values, pin, nondecreasing=True):
+def pinned_envelope(ys, values, pin):
     """Envelope of {pin} + points, forced nondecreasing past its peak.
 
     The pin (F_lo, D) is the transformed boundary payoff; nondecreasing-ness
@@ -66,9 +66,7 @@ def pinned_envelope(ys, values, pin, nondecreasing=True):
     keep = ys > py + 0.0
     ys_aug = np.concatenate([[py], ys[keep]])
     vs_aug = np.concatenate([[pv], values[keep]])
-    env = concave_envelope(ys_aug, vs_aug)
-    if nondecreasing:
-        env = np.maximum.accumulate(env)
+    env = np.maximum.accumulate(concave_envelope(ys_aug, vs_aug))
     out = np.interp(ys, ys_aug, env)
     return out, float(env[0])
 
@@ -99,11 +97,9 @@ def make_grid(ctx, n_nodes=None, x_max=None):
     """
     opts = ctx.options
     n_nodes = n_nodes or opts.oracle_nodes
-    x_lo, x_hi = ctx.window
+    x_lo, x_hi = ctx.solved_lo, ctx.window[1]
     if x_max is not None:
         x_hi = min(x_hi, float(x_max))
-    if ctx.absorbing:
-        x_lo = ctx.problem.diffusion.lo
 
     half = max(8, n_nodes // 2)
     xs_u = np.linspace(x_lo, x_hi, half)

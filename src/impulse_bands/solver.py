@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import SolverError
 from .model import BandPolicy
-from .numerics import golden_max_lanes
+from .numerics import central_diff, golden_max_lanes, scalar_or_array
 from .oracle import make_grid, pinned_envelope
 from .transform import concavity_profile, finiteness_check
 
@@ -85,37 +85,29 @@ class ValueFunctionRep:
         beta = self.policy.slope
         return beta * c.deta(xs) + c.D * c.pair.dphi(xs) + c.dg(xs)
 
-    def value(self, x):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
-        out = self._v0(xs)
+    def _piecewise(self, xs, inner, jump):
+        """inner(xs) below the last trigger b_top; at and beyond it
+        jump(k, a_top, max(xs, b_top)) with k(x) = K(x, a_top)."""
+        out = inner(xs)
         if not self.policy.is_empty:
             a_top, b_top = self.policy.bands[-1]
             beyond = xs >= b_top
             if np.any(beyond):
                 K = self.ctx.problem.intervention_reward
-                v0a = float(self._v0(a_top))
-                out = np.where(beyond, v0a + np.asarray(
-                    K(np.maximum(xs, b_top), a_top), dtype=float), out)
-        return float(out[0]) if scalar else out
+                out = np.where(beyond, jump(
+                    lambda x: np.asarray(K(x, a_top), dtype=float), a_top,
+                    np.maximum(xs, b_top)), out)
+        return out
+
+    def value(self, x):
+        return scalar_or_array(
+            self._piecewise, x, self._v0,
+            lambda k, a_top, xq: float(self._v0(a_top)) + k(xq))
 
     def derivative(self, x):
-        xs = np.asarray(x, dtype=float)
-        scalar = xs.ndim == 0
-        xs = np.atleast_1d(xs).astype(float)
-        out = self._dv0(xs)
-        if not self.policy.is_empty:
-            a_top, b_top = self.policy.bands[-1]
-            beyond = xs >= b_top
-            if np.any(beyond):
-                K = self.ctx.problem.intervention_reward
-                xq = np.maximum(xs, b_top)
-                h = np.maximum(1e-6, 1e-6 * np.abs(xq))
-                dK = (np.asarray(K(xq + h, a_top), dtype=float)
-                      - np.asarray(K(xq - h, a_top), dtype=float)) / (2 * h)
-                out = np.where(beyond, dK, out)
-        return float(out[0]) if scalar else out
+        return scalar_or_array(
+            self._piecewise, x, self._dv0,
+            lambda k, a_top, xq: central_diff(k, xq))
 
     def pieces(self):
         c = self.ctx
@@ -147,28 +139,24 @@ class _ScanWorkspace:
     """Cached pair/resolvent evaluations on a master trigger grid."""
 
     def __init__(self, ctx, n_b=800):
-        x_lo, x_hi = ctx.window
-        lo = ctx.problem.diffusion.lo if ctx.absorbing else x_lo
-        self.b_grid = np.linspace(lo, x_hi, n_b + 1)[1:]
-        self.phi_b = np.asarray(ctx.pair.phi(self.b_grid), dtype=float)
-        self.eta_b = np.asarray(ctx.eta(self.b_grid), dtype=float)
-        self.g_b = np.broadcast_to(np.asarray(
-            ctx.g(self.b_grid), dtype=float), self.b_grid.shape)
+        self.b_grid = np.linspace(ctx.solved_lo, ctx.window[1], n_b + 1)[1:]
+        self.at_b = _chord_terms(ctx, self.b_grid)
 
 
-def _beta_lane_fn(ctx, a_lane, phi_a, eta_a, g_a):
-    """beta_vm(b) evaluator for per-lane targets; b and idx are arrays."""
+def _chord_terms(ctx, x):
+    """(phi, eta, g) at x: the pair terms of the chord slope at one end."""
+    return (np.asarray(ctx.pair.phi(x), dtype=float),
+            np.asarray(ctx.eta(x), dtype=float),
+            np.asarray(ctx.g(x), dtype=float))
+
+
+def _chord_slope(ctx, b, a, at_b, at_a):
+    """beta_vm(b) for the target a, from _chord_terms at b and at a."""
     K = ctx.problem.intervention_reward
-
-    def beta_of(b, idx):
-        kab = np.asarray(K(b, a_lane[idx]), dtype=float) \
-            - np.asarray(ctx.g(b), dtype=float) + g_a[idx]
-        num = kab - ctx.D * (np.asarray(ctx.pair.phi(b), dtype=float)
-                             - phi_a[idx])
-        den = np.asarray(ctx.eta(b), dtype=float) - eta_a[idx]
-        return num / den
-
-    return beta_of
+    phi_b, eta_b, g_b = at_b
+    phi_a, eta_a, g_a = at_a
+    kab = np.asarray(K(b, a), dtype=float) - g_b + g_a
+    return (kab - ctx.D * (phi_b - phi_a)) / (eta_b - eta_a)
 
 
 def _stage_roots(ctx, a_vec, workspace=None):
@@ -184,20 +172,14 @@ def _stage_roots(ctx, a_vec, workspace=None):
     span = ctx.window[1] - ctx.window[0]
     gap = max(1e-3 * span / ws.b_grid.size, 10 * opts.x_tol)
 
-    phi_a = np.asarray(ctx.pair.phi(a_vec), dtype=float)
-    eta_a = np.asarray(ctx.eta(a_vec), dtype=float)
-    g_a = np.broadcast_to(np.asarray(ctx.g(a_vec), dtype=float), a_vec.shape)
-
-    K = ctx.problem.intervention_reward
+    at_a = _chord_terms(ctx, a_vec)
     bs = ws.b_grid
     mask = bs[None, :] > a_vec[:, None] + gap
     safe_tgt = np.where(mask, a_vec[:, None], bs[None, :])  # stay in domain
-    kb = np.asarray(K(bs[None, :], safe_tgt), dtype=float)
-    kb = np.broadcast_to(kb, mask.shape) - ws.g_b[None, :] + g_a[:, None]
-    num = kb - ctx.D * (ws.phi_b[None, :] - phi_a[:, None])
-    den = ws.eta_b[None, :] - eta_a[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        betas = np.where(mask, num / den, -np.inf)
+        betas = np.where(mask, _chord_slope(
+            ctx, bs[None, :], safe_tgt, [t[None, :] for t in ws.at_b],
+            [t[:, None] for t in at_a]), -np.inf)
 
     inner = np.zeros_like(mask)
     inner[:, 1:-1] = (betas[:, 1:-1] >= betas[:, :-2]) \
@@ -218,14 +200,17 @@ def _stage_roots(ctx, a_vec, workspace=None):
             if j_best >= j_last - 1:
                 edge_flag[i] = True
 
-    beta_fn = _beta_lane_fn(ctx, a_vec, phi_a, eta_a, g_a)
+    def beta_lanes(b, idx):
+        lane = rows[idx]
+        return _chord_slope(ctx, b, a_vec[lane], _chord_terms(ctx, b),
+                            [t[lane] for t in at_a])
+
     roots = [[] for _ in range(a_vec.size)]
     if rows.size:
         lo_b = bs[np.maximum(cols - 1, 0)]
         hi_b = bs[np.minimum(cols + 1, bs.size - 1)]
         xtol = opts.x_tol * np.maximum(1.0, np.abs(bs[cols]))
-        b_ref, beta_ref = golden_max_lanes(
-            lambda x, idx: beta_fn(x, rows[idx]), lo_b, hi_b, xtol)
+        b_ref, beta_ref = golden_max_lanes(beta_lanes, lo_b, hi_b, xtol)
         for k in range(rows.size):
             roots[rows[k]].append((float(b_ref[k]), float(beta_ref[k])))
 
@@ -247,17 +232,14 @@ def _stage_roots(ctx, a_vec, workspace=None):
 def _stage_result(ctx, a, roots):
     roots = sorted(roots, key=lambda t: -t[1])
     b_best, beta_best = roots[0]
-    gamma = float(ctx.pair.phi(a)) * float(ctx.line(ctx.pair.F(a), beta_best))
-    h = max(1e-6, 1e-6 * abs(b_best))
-    dkb = (float(ctx.kbar(b_best + h, a))
-           - float(ctx.kbar(b_best - h, a))) / (2 * h)
+    dkb = float(central_diff(lambda x: float(ctx.kbar(x, a)), b_best))
     resid = beta_best * float(ctx.deta(b_best)) \
         + ctx.D * float(ctx.pair.dphi(b_best)) - dkb
     scale = abs(beta_best * float(ctx.deta(b_best))) + abs(dkb) + 1e-300
     multi = len(roots) > 1 and roots[1][1] >= beta_best * (1 - 1e-3)
     return StageResult(
         a=float(a), b=float(b_best), beta=float(beta_best),
-        gamma=float(gamma), tangency_residual=float(resid / scale),
+        gamma=ctx.gamma(a, beta_best), tangency_residual=float(resid / scale),
         n_tangency_roots=len(roots), multi_trigger=bool(multi),
         roots=tuple(roots))
 
@@ -369,14 +351,19 @@ def solve_gamma(ctx, a, grid=None):
 
 def _target_grid(ctx):
     opts = ctx.options
-    x_lo, x_hi = ctx.window
-    lo = ctx.problem.diffusion.lo if ctx.absorbing else x_lo
+    lo, x_hi = ctx.solved_lo, ctx.window[1]
     span = x_hi - lo
     margin = 1e-4 * span
     uniform = np.linspace(lo + margin, x_hi - 0.05 * span, opts.scan_points)
     geometric = lo + span * 2.0 ** (-np.arange(2.0, 17.0))
     grid = np.unique(np.concatenate([uniform, geometric]))
     return grid[(grid > lo + margin) & (grid < x_hi)]
+
+
+def _interior_best(roots, edge, valid):
+    """Best refined slope per target; -inf without an interior tangency."""
+    return np.array([max(b for _, b in r) if v and not e and r else -np.inf
+                     for r, e, v in zip(roots, edge, valid)])
 
 
 def scan_slopes(ctx, workspace=None):
@@ -394,15 +381,10 @@ def scan_slopes(ctx, workspace=None):
                 "unbounded slope at the right boundary")
 
     roots, edge, valid, row_best = _stage_roots(ctx, targets, workspace=ws)
-    betas = np.full(targets.shape, np.nan)
-    edge_best = -math.inf
-    for i in range(targets.size):
-        if valid[i] and not edge[i] and roots[i]:
-            best = max(b for _, b in roots[i])
-            if best > 0.0 and math.isfinite(best):
-                betas[i] = best
-        elif valid[i] and edge[i] and row_best[i] > 0.0:
-            edge_best = max(edge_best, row_best[i])
+    best = _interior_best(roots, edge, valid)
+    betas = np.where((best > 0.0) & np.isfinite(best), best, np.nan)
+    edge_best = np.max(row_best[valid & edge & (row_best > 0.0)],
+                       initial=-math.inf)
 
     finite = np.isfinite(betas)
     if not np.any(finite):
@@ -427,12 +409,7 @@ def scan_slopes(ctx, workspace=None):
             seeds.append(targets[i])
 
     def beta_at(a_arr, _idx):
-        rts, edg, val, _best = _stage_roots(ctx, a_arr, workspace=ws)
-        out = np.full(a_arr.shape, -np.inf)
-        for k in range(a_arr.size):
-            if val[k] and not edg[k] and rts[k]:
-                out[k] = max(b for _, b in rts[k])
-        return out
+        return _interior_best(*_stage_roots(ctx, a_arr, workspace=ws)[:3])
 
     lanes_lo = np.asarray(lanes_lo)
     lanes_hi = np.asarray(lanes_hi)

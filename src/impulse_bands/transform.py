@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ImpulseError, SolverError
 from .fundamentals import FundamentalPair, fundamentals_for
 from .model import ImpulseProblem, SolverOptions, resolve_window
+from .numerics import fd_step, scalar_or_array
 
 _PROBE_COUNT = 12
 _PROBE_RATIO = 2.0
@@ -53,6 +54,11 @@ class TransformContext:
     def alpha(self):
         return self.problem.diffusion.alpha
 
+    @property
+    def solved_lo(self):
+        """Left end of the solved range: the absorbing point or window[0]."""
+        return self.problem.diffusion.lo if self.absorbing else self.window[0]
+
     def kbar(self, x, y):
         """Shifted reward K(x, y) - g(x) + g(y) for downward jumps y <= x."""
         K = self.problem.intervention_reward
@@ -78,6 +84,10 @@ class TransformContext:
     def line(self, y, beta):
         """The candidate value line W(y) = beta (y - F_lo) + D."""
         return beta * (np.asarray(y, dtype=float) - self.F_lo) + self.D
+
+    def gamma(self, a, beta):
+        """gamma = phi(a) W(F(a)): the fixed point for slope beta, target a."""
+        return float(self.pair.phi(a)) * float(self.line(self.pair.F(a), beta))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +202,14 @@ def compute_g(problem, pair, window, n_grid=8001):
 # Boundary data
 # ---------------------------------------------------------------------------
 
+def _march(base, far, toward_base):
+    """_PROBE_COUNT points base + (far - base) * 2^-k, k = 0, 1, ...: from
+    far in toward base, or (toward_base False) from next to base out to far."""
+    pts = base + (far - base) * _PROBE_RATIO ** -np.arange(
+        _PROBE_COUNT, dtype=float)
+    return pts if toward_base else pts[::-1]
+
+
 def _left_probes(problem, pair, window):
     """Ratio-2 probe sequence marching toward the left boundary.
 
@@ -202,15 +220,13 @@ def _left_probes(problem, pair, window):
     d = problem.diffusion
     x_lo, x_hi = window
     span = x_hi - x_lo
-    ks = np.arange(_PROBE_COUNT, dtype=float)
     if math.isfinite(d.lo):
-        return d.lo + (x_lo + 0.25 * span - d.lo) * _PROBE_RATIO ** (-ks)
+        return _march(d.lo, x_lo + 0.25 * span, toward_base=True)
     limit = x_lo - 8.0 * span
     pw_lo = pair.window[0]
     if math.isfinite(pw_lo):
         limit = max(limit, pw_lo + 1e-9 * span)
-    d0 = (x_lo - limit) / (_PROBE_RATIO ** (_PROBE_COUNT - 1))
-    return x_lo - d0 * _PROBE_RATIO ** ks
+    return _march(x_lo, limit, toward_base=False)
 
 
 def boundary_data(problem, pair, g, window):
@@ -294,15 +310,14 @@ def transformed_reward(ctx, a):
     pair = ctx.pair
     a = float(a)
 
-    def R(y):
-        ys = np.asarray(y, dtype=float)
+    def R(ys):
         out = np.full(ys.shape, float(ctx.D))
         free = ~((ys == ctx.F_lo) & ctx.absorbing)
         x = pair.F_inv(ys[free])
         out[free] = ctx.kbar_extended(x, a) / pair.phi(x)
-        return out if out.ndim else float(out)
+        return out
 
-    return R
+    return lambda y: scalar_or_array(R, y)
 
 
 @dataclass(frozen=True)
@@ -318,12 +333,12 @@ def concavity_profile(ctx, h, n=512, rel_tol=1e-7, x_range=None):
 
     sign(H''(F(x))) matches sign((A - alpha) h(x)), so the concavities of
     the transformed reward can be read off the generator applied to h.
-    Derivatives are central differences with step max(1e-6, 1e-6 |x|).
+    Derivatives are central differences with step ``fd_step``.
     """
     x_lo, x_hi = x_range if x_range is not None else ctx.window
     pad = (x_hi - x_lo) / (n + 1)
     xs = np.linspace(x_lo + pad, x_hi - pad, n)
-    hstep = np.maximum(1e-6, 1e-6 * np.abs(xs))
+    hstep = fd_step(xs)
     h0 = np.asarray(h(xs), dtype=float)
     hp = np.asarray(h(xs + hstep), dtype=float)
     hm = np.asarray(h(xs - hstep), dtype=float)
@@ -383,18 +398,16 @@ def _right_probes(ctx, a):
     """
     x_lo, x_hi = ctx.window
     hi = ctx.problem.diffusion.hi
-    ks = np.arange(_PROBE_COUNT, dtype=float)
     if math.isfinite(hi):
         start = max(float(a), 0.5 * (x_lo + x_hi))
-        cand = hi - (hi - start) * _PROBE_RATIO ** (-ks)
+        cand = _march(hi, start, toward_base=True)
     else:
         span = x_hi - x_lo
         limit = x_hi + 8.0 * span
         pw_hi = ctx.pair.window[1]
         if ctx.pair.provenance == "numeric" and math.isfinite(pw_hi):
             limit = min(limit, pw_hi - 1e-9 * span)
-        d0 = (limit - x_hi) / (_PROBE_RATIO ** (_PROBE_COUNT - 1))
-        cand = x_hi + d0 * _PROBE_RATIO ** ks
+        cand = _march(x_hi, limit, toward_base=False)
     cand = cand[cand > a]
     keep = []
     for x in cand:

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,23 @@ def test_solver_failure_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, text)
     assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "solver error" in capsys.readouterr().err
+
+
+def test_vanishing_volatility_exit_2(tmp_path):
+    # CIR volatility sigma*sqrt(x) vanishes at the absorbing end lo = 0
+    text = read_config("ou_dividend.cfg").replace(
+        'vol = "sigma"', 'vol = "sigma*sqrt(x)"')
+    cfg = write_cfg(tmp_path, text)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "impulse_bands", "solve", cfg,
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert run.returncode == 2
+    assert "solver error" in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_iterate_outputs(tmp_path):

@@ -274,6 +274,24 @@ def test_F_inv_round_trip_on_arrays(which, numeric_bm_pair):
         pair.F_inv(np.array([float(pair.F(xs[3])), 2.0 * float(pair.F(hi))]))
 
 
+def test_scalar_in_float_out_array_in_same_shape_out(numeric_bm_pair,
+                                                     bm_vrep):
+    pair = numeric_bm_pair
+    lo, hi = pair.window
+    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 6)
+    b_top = bm_vrep.policy.bands[-1][1]
+    xv = np.linspace(b_top - 3.0, b_top + 3.0, 6)  # both value pieces
+    for fn, arr in ((pair.psi, xs), (pair.F_inv, pair.F(xs)),
+                    (bm_vrep.value, xv), (bm_vrep.derivative, xv)):
+        grid = arr.reshape(2, 3)
+        out = fn(grid)
+        assert isinstance(out, np.ndarray) and out.shape == grid.shape
+        for scalar in (grid[1, 2], float(grid[1, 2])):
+            one = fn(scalar)
+            assert type(one) is float
+            assert one == pytest.approx(out[1, 2], rel=1e-12, abs=1e-300)
+
+
 def test_numeric_interior_anchor_required():
     with pytest.raises(ValidationError):
         numeric_fundamentals(bm_spec(), c=30.0, window=(-10, 10))

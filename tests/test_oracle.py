@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impulse_bands import OracleError, concave_envelope, value_iteration
+from impulse_bands.checks import _brute_force_envelope
 from impulse_bands.oracle import (_Workspace, intervention_operator,
                                   make_grid, pinned_envelope)
 
@@ -48,9 +49,11 @@ def test_envelope_matches_brute_force(n, seed):
     rng = np.random.default_rng(seed)
     ys = np.sort(rng.uniform(-4, 4, n)) + np.arange(n) * 1e-8
     vals = rng.normal(0, 2, n)
+    slow = brute_force_envelope(ys, vals)
     np.testing.assert_allclose(
-        concave_envelope(ys, vals), brute_force_envelope(ys, vals),
-        rtol=1e-10, atol=1e-10)
+        concave_envelope(ys, vals), slow, rtol=1e-10, atol=1e-10)
+    # the property suite's broadcast brute force does the same arithmetic
+    np.testing.assert_array_equal(_brute_force_envelope(ys, vals), slow)
 
 
 def test_pinned_envelope_nondecreasing():
