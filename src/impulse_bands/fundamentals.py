@@ -14,8 +14,8 @@ functions evaluated through the Hermite-function integral
     Hermite(nu, z) = (1/Gamma(-nu)) * int_0^inf exp(-t^2 - 2 t z) t^(-nu-1) dt
 
 for nu < 0; its psi and phi are then read from a log-space Chebyshev table
-built once over the pair window.  Everything else goes through a shooting
-construction on the initial slope.
+built once over the pair window.  Everything else is integrated numerically,
+each branch in the direction where it dominates.
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ def analytic_fundamentals(spec):
 
 
 # ---------------------------------------------------------------------------
-# Numeric construction by shooting on the initial slope
+# Numeric construction by integration in each branch's dominant direction
 # ---------------------------------------------------------------------------
 
 class _Segmented:
@@ -500,34 +500,45 @@ def _make_rhs(spec):
     return rhs
 
 
-def _integrate(rhs, x0, x1, u0, rtol, events=None):
+def _integrate(rhs, x0, x1, u0, rtol):
     """Integrate with rescaling whenever |u| passes the overflow cap."""
+    def cap_event(x, u):
+        return abs(u[0]) - RESCALE_CAP
+    cap_event.terminal = True
+
     segments = []
     logscale = 0.0
     state = list(u0)
     start = x0
     for _ in range(64):
-        def cap_event(x, u):
-            return abs(u[0]) - RESCALE_CAP
-        cap_event.terminal = True
-        evs = [cap_event] + list(events or [])
         sol = solve_ivp(
             rhs, (start, x1), state, method="DOP853", dense_output=True,
-            rtol=rtol, atol=1e-16, events=evs)
+            rtol=rtol, atol=1e-16, events=cap_event)
         if not sol.success:
             raise ImpulseError(f"ODE integration failed: {sol.message}")
         segments.append((start, sol.t[-1], sol.sol, logscale))
-        hit_user_event = any(len(te) for te in sol.t_events[1:])
-        if sol.status == 1 and not hit_user_event and len(sol.t_events[0]):
-            # rescale and continue
-            start = sol.t[-1]
-            u_end = sol.y[:, -1]
-            scale = abs(u_end[0])
-            logscale += math.log(scale)
-            state = [u_end[0] / scale, u_end[1] / scale]
-            continue
-        return segments, sol
+        if sol.status != 1:
+            return segments
+        # rescale and continue
+        start = sol.t[-1]
+        u_end = sol.y[:, -1]
+        scale = abs(u_end[0])
+        logscale += math.log(scale)
+        state = [u_end[0] / scale, u_end[1] / scale]
     raise ImpulseError("exceeded rescale budget during integration")
+
+
+def _normalized(segments, c):
+    """The segments with every log scale shifted so that u(c) = 1."""
+    for x0, x1, sol, logscale in segments:
+        if min(x0, x1) <= c <= max(x0, x1):
+            u_c = float(sol(c)[0])
+            break
+    if not u_c > 0.0:
+        raise ImpulseError(
+            f"numeric pair has a sign-changing branch: u(c) = {u_c}")
+    shift = logscale + math.log(u_c)
+    return [(x0, x1, sol, ls - shift) for x0, x1, sol, ls in segments]
 
 
 def _wkb_roots(spec, x):
@@ -537,74 +548,9 @@ def _wkb_roots(spec, x):
     if s2 == 0.0:
         raise SolverError(
             f"volatility vanishes at x={x}: the fundamental pair cannot be "
-            "built by shooting up to that point")
+            "built by integrating up to that point")
     disc = math.sqrt(mu * mu + 2.0 * spec.alpha * s2)
     return (-mu + disc) / s2, (-mu - disc) / s2
-
-
-def _shoot_slope(spec, rhs, c, x_end, increasing, rtol):
-    """Find the initial slope at c selecting the monotone positive solution.
-
-    For psi (increasing) we integrate leftward: the true solution decays
-    below 1, so crossing 0 means the slope is too high and crossing 2 means
-    contamination by the complementary (growing) solution, slope too low.
-    When neither event fires before the far end, the contamination sign is
-    read from the endpoint slope against the local WKB rate of the wanted
-    branch, which keeps the bisection converging to the knife edge.
-    For phi the roles mirror when integrating rightward.
-    """
-
-    def hit_zero(x, u):
-        return u[0]
-    hit_zero.terminal = True
-
-    def hit_two(x, u):
-        return u[0] - 2.0
-    hit_two.terminal = True
-
-    k_plus, k_minus = _wkb_roots(spec, x_end)
-    k_want = k_plus if increasing else k_minus
-
-    def classify(theta):
-        _, sol = _integrate(rhs, c, x_end, [1.0, theta], rtol,
-                            events=[hit_zero, hit_two])
-        zero_hit = len(sol.t_events[1]) > 0
-        two_hit = len(sol.t_events[2]) > 0
-        if zero_hit or two_hit:
-            if increasing:
-                return 1 if zero_hit else -1
-            return -1 if zero_hit else 1
-        u_end, du_end = sol.y[0, -1], sol.y[1, -1]
-        resid = du_end - k_want * u_end
-        # on either branch the residual carries the sign that says the
-        # slope was too high: psi leftward has resid ~ -B phi (k+ - k-),
-        # phi rightward has resid ~ +B psi (k+ - k-), and B > 0 means
-        # "too low" for psi but "too high" for phi
-        return 1 if resid > 0 else -1
-
-    lo, hi = (-1.0, 1.0)
-    for _ in range(80):
-        if classify(lo) <= 0:
-            break
-        lo *= 4.0
-    else:
-        raise ImpulseError("shooting failed to bracket from below")
-    for _ in range(80):
-        if classify(hi) >= 0:
-            break
-        hi *= 4.0
-    else:
-        raise ImpulseError("shooting failed to bracket from above")
-
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 5e-16 * max(1.0, abs(mid)):
-            break
-        if classify(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def _zero_rate_numeric(spec, c, window, rtol):
@@ -647,11 +593,14 @@ def _coefficients_ok(spec, xs):
 
 
 def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
-    """Build the pair by adaptive integration outward from the anchor c.
+    """Build the pair by adaptive integration across an extended window.
 
-    The increasing/decreasing branches are selected by shooting on the
-    initial slope; the pair is normalized to psi(c) = phi(c) = 1 and
-    rescaled whenever the integrated magnitude passes 1e100.
+    Each branch is integrated once, in the direction where it dominates:
+    psi rightward from the left end, starting on the local growth rate
+    u'/u = k+, and phi leftward from the right end on the decay rate k-.
+    The ODE is linear, so the other branch's share dies off across the
+    window.  The pair is normalized to psi(c) = phi(c) = 1 and rescaled
+    whenever the integrated magnitude passes 1e100.
     """
     if window is None:
         lo = spec.lo if math.isfinite(spec.lo) else -20.0
@@ -698,19 +647,12 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
         return _zero_rate_numeric(spec, c, (ext_lo, ext_hi), rtol)
 
     rhs = _make_rhs(spec)
-
-    theta_psi = _shoot_slope(spec, rhs, c, ext_lo, increasing=True, rtol=rtol)
-    left_psi, _ = _integrate(rhs, c, ext_lo, [1.0, theta_psi], rtol)
-    right_psi, _ = _integrate(rhs, c, ext_hi, [1.0, theta_psi], rtol)
-
-    theta_phi = _shoot_slope(spec, rhs, c, ext_hi, increasing=False, rtol=rtol)
-    right_phi, _ = _integrate(rhs, c, ext_hi, [1.0, theta_phi], rtol)
-    left_phi, _ = _integrate(rhs, c, ext_lo, [1.0, theta_phi], rtol)
-
-    psi = _Segmented(left_psi + right_psi, 0)
-    dpsi = _Segmented(left_psi + right_psi, 1)
-    phi = _Segmented(left_phi + right_phi, 0)
-    dphi = _Segmented(left_phi + right_phi, 1)
+    psi_segs = _normalized(_integrate(
+        rhs, ext_lo, ext_hi, [1.0, _wkb_roots(spec, ext_lo)[0]], rtol), c)
+    phi_segs = _normalized(_integrate(
+        rhs, ext_hi, ext_lo, [1.0, _wkb_roots(spec, ext_hi)[1]], rtol), c)
+    psi, dpsi = _Segmented(psi_segs, 0), _Segmented(psi_segs, 1)
+    phi, dphi = _Segmented(phi_segs, 0), _Segmented(phi_segs, 1)
 
     pair = FundamentalPair(
         psi=psi, phi=phi, dpsi=dpsi, dphi=dphi,
@@ -720,7 +662,7 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
     # basic sanity on the constructed monotone branches
     xs = np.linspace(x_lo, x_hi, 41)
     if np.any(pair.psi(xs) <= 0) or np.any(pair.phi(xs) <= 0):
-        raise ImpulseError("shooting produced a sign-changing solution")
+        raise ImpulseError("numeric pair has a sign-changing branch")
     if np.any(np.diff(pair.F(xs)) <= 0):
         raise ImpulseError("constructed F is not strictly increasing")
     return pair

@@ -229,12 +229,18 @@ def numeric_bm_pair():
 
 
 def test_numeric_bm_matches_analytic(numeric_bm_pair):
-    pair = numeric_bm_pair
-    s = math.sqrt(0.4)
+    # at alpha = 50 each branch spans e^360 over the extended window, so the
+    # integration passes the 1e100 rescale cap
+    fast = numeric_fundamentals(bm_spec(50.0), c=0.0, tol=1e-8,
+                                window=(-12, 12))
+    assert len(fast.psi.segments) > 1
     xs = np.linspace(-5.0, 5.0, 41)
-    np.testing.assert_allclose(pair.psi(xs), np.exp(s * xs), rtol=1e-6)
-    np.testing.assert_allclose(pair.phi(xs), np.exp(-s * xs), rtol=1e-6)
-    np.testing.assert_allclose(pair.dpsi(xs), s * np.exp(s * xs), rtol=1e-5)
+    for alpha, pair in ((0.2, numeric_bm_pair), (50.0, fast)):
+        s = math.sqrt(2.0 * alpha)
+        np.testing.assert_allclose(pair.psi(xs), np.exp(s * xs), rtol=1e-9)
+        np.testing.assert_allclose(pair.phi(xs), np.exp(-s * xs), rtol=1e-9)
+        np.testing.assert_allclose(pair.dpsi(xs), s * np.exp(s * xs),
+                                   rtol=1e-9)
 
 
 def test_numeric_normalization(numeric_bm_pair):
@@ -249,10 +255,29 @@ def test_numeric_ou_matches_catalog():
     ana = analytic_fundamentals(spec)
     xs = np.linspace(0.0, 2.0, 33)
     # numeric pairs are normalized at c; rescale the catalog to compare
-    np.testing.assert_allclose(
-        num.psi(xs), ana.psi(xs) / ana.psi(c), rtol=1e-5)
-    np.testing.assert_allclose(
-        num.phi(xs), ana.phi(xs) / ana.phi(c), rtol=1e-5)
+    for u, du, ref, dref in ((num.psi, num.dpsi, ana.psi, ana.dpsi),
+                             (num.phi, num.dphi, ana.phi, ana.dphi)):
+        np.testing.assert_allclose(u(xs), ref(xs) / ref(c), rtol=1e-9)
+        np.testing.assert_allclose(du(xs), dref(xs) / ref(c), rtol=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "extension margins too short for GBM: every left candidate crosses "
+    "x = 0, and the right margin is capped at 4*span while the WKB rate "
+    "gap decays like 1/x"))
+def test_numeric_gbm_matches_power_law():
+    mu, sigma, alpha, c = 0.05, 0.3, 0.1, 1.0
+    spec = DiffusionSpec(
+        drift=parse_expr(f"{mu}*x", ("x",)),
+        vol=parse_expr(f"{sigma}*x", ("x",)),
+        alpha=alpha, lo=0.0, hi=math.inf, boundary="natural")
+    pair = numeric_fundamentals(spec, c=c, tol=1e-8, window=(0.5, 4.0))
+    # (sigma^2/2) r (r - 1) + mu r - alpha = 0
+    r_minus, r_plus = sorted(np.roots(
+        [0.5 * sigma ** 2, mu - 0.5 * sigma ** 2, -alpha]).real)
+    xs = np.linspace(0.5, 4.0, 36)
+    np.testing.assert_allclose(pair.psi(xs), (xs / c) ** r_plus, rtol=1e-8)
+    np.testing.assert_allclose(pair.phi(xs), (xs / c) ** r_minus, rtol=1e-8)
 
 
 def test_numeric_ode_residual(numeric_bm_pair):
