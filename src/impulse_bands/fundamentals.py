@@ -15,7 +15,8 @@ functions evaluated through the Hermite-function integral
 
 for nu < 0; its psi and phi are then read from a log-space Chebyshev table
 built once over the pair window.  Everything else is integrated numerically,
-each branch in the direction where it dominates.
+each branch once in the direction where it dominates, on the state
+(log u, u'/u), which never needs rescaling; alpha = 0 takes the same route.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ __all__ = [
     "hermite_fn",
     "parabolic_cylinder",
 ]
-
-RESCALE_CAP = 1e100
 
 # Gauss 7 / Kronrod 15 nodes and weights on [-1, 1]
 _XK = np.array([
@@ -459,86 +458,44 @@ def analytic_fundamentals(spec):
 # Numeric construction by integration in each branch's dominant direction
 # ---------------------------------------------------------------------------
 
-class _Segmented:
-    """Piecewise dense ODE solution with per-segment log scale factors."""
+def _log_branch(spec, x0, x1, rate0, c, rtol):
+    """One positive solution u of the ODE, integrated once from x0 to x1.
 
-    def __init__(self, segments, component):
-        # segments: list of (x_from, x_to, OdeSolution, log_scale), ordered
-        self.segments = segments
-        self.component = component
-        self.x_lo = min(min(s[0], s[1]) for s in segments)
-        self.x_hi = max(max(s[0], s[1]) for s in segments)
-
-    def __call__(self, x):
-        return scalar_or_array(self._evaluate, x)
-
-    def _evaluate(self, xs):
-        out = np.empty_like(xs)
-        done = np.zeros(xs.shape, dtype=bool)
-        for x0, x1, sol, logscale in self.segments:
-            lo, hi = min(x0, x1), max(x0, x1)
-            mask = ~done & (xs >= lo - 1e-12) & (xs <= hi + 1e-12)
-            if np.any(mask):
-                vals = sol(np.clip(xs[mask], lo, hi))[self.component]
-                out[mask] = vals * math.exp(logscale)
-                done[mask] = True
-        if not np.all(done):
-            bad = xs[~done][0]
-            raise ImpulseError(
-                f"x={bad} outside the constructed window "
-                f"[{self.x_lo}, {self.x_hi}]")
-        return out
-
-
-def _make_rhs(spec):
+    The state is (log u, r = u'/u), which obeys the Riccati equation
+    r' = 2 (alpha - mu r) / sigma^2 - r^2; log u grows only linearly, so
+    no magnitude ever overflows.  It starts at (0, rate0).  Returns the
+    evaluators u and u' = r u, normalized to u(c) = 1, which raise outside
+    [min(x0, x1), max(x0, x1)].
+    """
     mu, sig, alpha = spec.drift, spec.vol, spec.alpha
 
-    def rhs(x, u):
+    def rhs(x, y):
+        r = y[1]
         s2 = float(sig(x)) ** 2
-        return [u[1], (2.0 / s2) * (alpha * u[0] - float(mu(x)) * u[1])]
+        return [r, 2.0 * (alpha - float(mu(x)) * r) / s2 - r * r]
 
-    return rhs
+    sol = solve_ivp(rhs, (x0, x1), [0.0, rate0], method="DOP853",
+                    dense_output=True, rtol=rtol, atol=1e-16)
+    if not sol.success:
+        raise ImpulseError(f"ODE integration failed: {sol.message}")
+    dense = sol.sol
+    log_c = float(dense(c)[0])
+    lo, hi = min(x0, x1), max(x0, x1)
 
+    def state(xs):
+        if xs.size == 0:
+            return xs, xs
+        inside = (xs >= lo - 1e-12) & (xs <= hi + 1e-12)
+        if not np.all(inside):
+            raise ImpulseError(
+                f"x={xs[~inside][0]} outside the constructed window "
+                f"[{lo}, {hi}]")
+        log_u, r = dense(np.clip(xs.ravel(), lo, hi))
+        u = np.exp(log_u - log_c)
+        return u.reshape(xs.shape), (r * u).reshape(xs.shape)
 
-def _integrate(rhs, x0, x1, u0, rtol):
-    """Integrate with rescaling whenever |u| passes the overflow cap."""
-    def cap_event(x, u):
-        return abs(u[0]) - RESCALE_CAP
-    cap_event.terminal = True
-
-    segments = []
-    logscale = 0.0
-    state = list(u0)
-    start = x0
-    for _ in range(64):
-        sol = solve_ivp(
-            rhs, (start, x1), state, method="DOP853", dense_output=True,
-            rtol=rtol, atol=1e-16, events=cap_event)
-        if not sol.success:
-            raise ImpulseError(f"ODE integration failed: {sol.message}")
-        segments.append((start, sol.t[-1], sol.sol, logscale))
-        if sol.status != 1:
-            return segments
-        # rescale and continue
-        start = sol.t[-1]
-        u_end = sol.y[:, -1]
-        scale = abs(u_end[0])
-        logscale += math.log(scale)
-        state = [u_end[0] / scale, u_end[1] / scale]
-    raise ImpulseError("exceeded rescale budget during integration")
-
-
-def _normalized(segments, c):
-    """The segments with every log scale shifted so that u(c) = 1."""
-    for x0, x1, sol, logscale in segments:
-        if min(x0, x1) <= c <= max(x0, x1):
-            u_c = float(sol(c)[0])
-            break
-    if not u_c > 0.0:
-        raise ImpulseError(
-            f"numeric pair has a sign-changing branch: u(c) = {u_c}")
-    shift = logscale + math.log(u_c)
-    return [(x0, x1, sol, ls - shift) for x0, x1, sol, ls in segments]
+    return (lambda x: scalar_or_array(lambda xs: state(xs)[0], x),
+            lambda x: scalar_or_array(lambda xs: state(xs)[1], x))
 
 
 def _wkb_roots(spec, x):
@@ -551,36 +508,6 @@ def _wkb_roots(spec, x):
             "built by integrating up to that point")
     disc = math.sqrt(mu * mu + 2.0 * spec.alpha * s2)
     return (-mu + disc) / s2, (-mu - disc) / s2
-
-
-def _zero_rate_numeric(spec, c, window, rtol):
-    """alpha = 0: phi is constant and psi follows the scale function."""
-    x_lo, x_hi = window
-    mu, sig = spec.drift, spec.vol
-    xs = np.linspace(x_lo, x_hi, 4001)
-    ratio = 2.0 * np.asarray(mu(xs), dtype=float) / np.asarray(sig(xs), dtype=float) ** 2
-    ratio = np.broadcast_to(ratio, xs.shape)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (ratio[1:] + ratio[:-1]) * np.diff(xs))])
-    anchor_val = np.interp(c, xs, integral)
-    s_density = np.exp(-(integral - anchor_val))
-    scale = np.concatenate([[0.0], np.cumsum(0.5 * (s_density[1:] + s_density[:-1]) * np.diff(xs))])
-    scale_c = np.interp(c, xs, scale)
-
-    def psi(x):
-        return 1.0 + np.interp(np.asarray(x, dtype=float), xs, scale) - scale_c
-
-    def dpsi(x):
-        return np.interp(np.asarray(x, dtype=float), xs, s_density)
-
-    def one_like(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    return FundamentalPair(
-        psi=psi, phi=one_like, dpsi=dpsi,
-        dphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        anchor=c, provenance="numeric",
-        window=(x_lo, x_hi), F_limit_lo=None,
-    )
 
 
 def _coefficients_ok(spec, xs):
@@ -599,8 +526,11 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
     psi rightward from the left end, starting on the local growth rate
     u'/u = k+, and phi leftward from the right end on the decay rate k-.
     The ODE is linear, so the other branch's share dies off across the
-    window.  The pair is normalized to psi(c) = phi(c) = 1 and rescaled
-    whenever the integrated magnitude passes 1e100.
+    window.  Each branch is one integration of (log u, u'/u), so nothing
+    needs rescaling, and the pair is normalized to psi(c) = phi(c) = 1.
+    At alpha = 0, phi = 1 and phi' = 0, and psi is an increasing affine
+    image of the scale function from the same integration, started where
+    the scale density is smallest and normalized to psi'(c) = 1.
     """
     if window is None:
         lo = spec.lo if math.isfinite(spec.lo) else -20.0
@@ -641,28 +571,35 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
             ext_hi = hi_try
             break
 
-    rtol = min(1e-11, max(tol * 1e-3, 1e-13))
-
-    if spec.alpha == 0.0:
-        return _zero_rate_numeric(spec, c, (ext_lo, ext_hi), rtol)
-
-    rhs = _make_rhs(spec)
-    psi_segs = _normalized(_integrate(
-        rhs, ext_lo, ext_hi, [1.0, _wkb_roots(spec, ext_lo)[0]], rtol), c)
-    phi_segs = _normalized(_integrate(
-        rhs, ext_hi, ext_lo, [1.0, _wkb_roots(spec, ext_hi)[1]], rtol), c)
-    psi, dpsi = _Segmented(psi_segs, 0), _Segmented(psi_segs, 1)
-    phi, dphi = _Segmented(phi_segs, 0), _Segmented(phi_segs, 1)
+    # the error in log u is relative to |log u|, tens of units at the far
+    # end, hence the 1e-4 factor
+    rtol = min(1e-12, max(tol * 1e-4, 1e-13))
+    if spec.alpha > 0:
+        psi, dpsi = _log_branch(spec, ext_lo, ext_hi,
+                                _wkb_roots(spec, ext_lo)[0], c, rtol)
+        phi, dphi = _log_branch(spec, ext_hi, ext_lo,
+                                _wkb_roots(spec, ext_hi)[1], c, rtol)
+    else:
+        # constants solve the ODE, so phi = 1 (rate 0 keeps it exactly 1).
+        # psi is u / u'(c), u an affine image of the scale function started
+        # where the scale density exp(-int 2 mu / sigma^2) is smallest and
+        # growing away from there, so that u's variation, not a constant
+        # floor, carries its digits; psi'(c) = 1 fixes the scale
+        grid = np.linspace(ext_lo, ext_hi, 65)
+        pull = np.mean(np.asarray(spec.drift(grid), dtype=float)
+                       / np.asarray(spec.vol(grid), dtype=float) ** 2)
+        x0, x1 = (ext_hi, ext_lo) if pull > 0 else (ext_lo, ext_hi)
+        u, du = _log_branch(spec, x0, x1, 1.0 / (x1 - x0), c, rtol)
+        du_c = du(c)
+        psi, dpsi = (lambda x: u(x) / du_c), (lambda x: du(x) / du_c)
+        phi, dphi = _log_branch(spec, ext_hi, ext_lo, 0.0, c, rtol)
 
     pair = FundamentalPair(
         psi=psi, phi=phi, dpsi=dpsi, dphi=dphi,
         anchor=c, provenance="numeric",
         window=(ext_lo, ext_hi), F_limit_lo=None,
     )
-    # basic sanity on the constructed monotone branches
     xs = np.linspace(x_lo, x_hi, 41)
-    if np.any(pair.psi(xs) <= 0) or np.any(pair.phi(xs) <= 0):
-        raise ImpulseError("numeric pair has a sign-changing branch")
     if np.any(np.diff(pair.F(xs)) <= 0):
         raise ImpulseError("constructed F is not strictly increasing")
     return pair

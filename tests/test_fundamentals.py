@@ -229,18 +229,18 @@ def numeric_bm_pair():
 
 
 def test_numeric_bm_matches_analytic(numeric_bm_pair):
-    # at alpha = 50 each branch spans e^360 over the extended window, so the
-    # integration passes the 1e100 rescale cap
+    # at alpha = 50 each branch spans e^360 over the extended window
     fast = numeric_fundamentals(bm_spec(50.0), c=0.0, tol=1e-8,
                                 window=(-12, 12))
-    assert len(fast.psi.segments) > 1
     xs = np.linspace(-5.0, 5.0, 41)
     for alpha, pair in ((0.2, numeric_bm_pair), (50.0, fast)):
         s = math.sqrt(2.0 * alpha)
-        np.testing.assert_allclose(pair.psi(xs), np.exp(s * xs), rtol=1e-9)
-        np.testing.assert_allclose(pair.phi(xs), np.exp(-s * xs), rtol=1e-9)
+        np.testing.assert_allclose(pair.psi(xs), np.exp(s * xs), rtol=1e-11)
+        np.testing.assert_allclose(pair.phi(xs), np.exp(-s * xs), rtol=1e-11)
         np.testing.assert_allclose(pair.dpsi(xs), s * np.exp(s * xs),
-                                   rtol=1e-9)
+                                   rtol=1e-11)
+        np.testing.assert_allclose(pair.dphi(xs), -s * np.exp(-s * xs),
+                                   rtol=1e-11)
 
 
 def test_numeric_normalization(numeric_bm_pair):
@@ -257,8 +257,55 @@ def test_numeric_ou_matches_catalog():
     # numeric pairs are normalized at c; rescale the catalog to compare
     for u, du, ref, dref in ((num.psi, num.dpsi, ana.psi, ana.dpsi),
                              (num.phi, num.dphi, ana.phi, ana.dphi)):
-        np.testing.assert_allclose(u(xs), ref(xs) / ref(c), rtol=1e-9)
-        np.testing.assert_allclose(du(xs), dref(xs) / ref(c), rtol=1e-9)
+        np.testing.assert_allclose(u(xs), ref(xs) / ref(c), rtol=1e-11)
+        np.testing.assert_allclose(du(xs), dref(xs) / ref(c), rtol=1e-11)
+
+
+def zero_rate_spec(drift=0.3):
+    return DiffusionSpec(
+        drift=parse_expr(str(drift), ("x",)),
+        vol=parse_expr("1", ("x",)),
+        alpha=0.0, lo=0.0, hi=math.inf, boundary="absorbing")
+
+
+@pytest.mark.parametrize("drift", [0.3, 1.5, -0.3])
+def test_numeric_zero_rate_is_scale_function(drift):
+    # scale density exp(-2 drift (x - c)); psi'(c) = 1 fixes psi up to a
+    # constant, so F differences are exact integrals of that density.  At
+    # drift 1.5 the density falls by e^-30 across the window and F still
+    # has to resolve its variation near x = 10
+    k, c = 2.0 * drift, 5.0
+    pair = numeric_fundamentals(zero_rate_spec(drift), c=c, tol=1e-8,
+                                window=(0.0, 10.0))
+    xs = np.linspace(0.0, 10.0, 101)
+    density = np.exp(-k * (xs - c))
+    psi = pair.psi(xs)
+    # fit psi = A + B (-density / k) in relative terms: at drift 1.5 psi
+    # runs from -1e6 to -1e-7 across the window
+    basis = np.column_stack([np.ones_like(xs), -density / k]) / psi[:, None]
+    coef, *_ = np.linalg.lstsq(basis, np.ones_like(xs), rcond=None)
+    np.testing.assert_allclose(basis @ coef, 1.0, rtol=1e-10)
+    np.testing.assert_allclose(coef[1], 1.0, rtol=1e-10)
+    np.testing.assert_allclose(pair.dpsi(xs), density, rtol=1e-9)
+    F = pair.F(xs)
+    assert np.all(np.diff(F) > 0)
+    np.testing.assert_allclose(np.diff(F), np.diff(-density / k), rtol=1e-9)
+    assert np.all(pair.phi(xs) == 1.0)
+    assert np.all(pair.dphi(xs) == 0.0)
+
+
+@pytest.mark.parametrize("spec", [bm_spec(), zero_rate_spec()],
+                         ids=["bm", "zero_rate"])
+def test_numeric_pair_raises_outside_window(spec):
+    # compute_g and the probe marches stop on this error
+    pair = numeric_fundamentals(spec, c=5.0, tol=1e-8, window=(0.0, 10.0))
+    lo, hi = pair.window
+    for fn in (pair.psi, pair.phi, pair.dpsi, pair.dphi):
+        assert np.all(np.isfinite(fn(np.array([lo, hi]))))
+        assert fn(np.array([])).shape == (0,)
+        for x in (lo - 1e-6, hi + 1e-6):
+            with pytest.raises(ImpulseError, match="outside the constructed"):
+                fn(x)
 
 
 @pytest.mark.xfail(strict=True, reason=(
