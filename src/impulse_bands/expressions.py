@@ -88,6 +88,13 @@ def _div(a, b):
     return a / b
 
 
+def _power(a, b):
+    out = np.power(np.asarray(a, dtype=float), b)
+    if out.ndim == 0 and np.isscalar(a) and np.isscalar(b):
+        return float(out)
+    return out
+
+
 def _pow(a, b):
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
@@ -96,10 +103,7 @@ def _pow(a, b):
         raise ExprEvalError("fractional power of a negative base")
     if _any((av == 0) & (bv < 0)):
         raise ExprEvalError("zero raised to a negative power")
-    out = np.power(av, bv)
-    if out.ndim == 0 and np.isscalar(a) and np.isscalar(b):
-        return float(out)
-    return out
+    return _power(a, b)
 
 
 _BINOPS = {
@@ -112,16 +116,21 @@ _BINOPS = {
 
 
 class _Bin(_Node):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "fn")
 
     def __init__(self, op, left, right):
         self.op = op
         self.left = left
         self.right = right
+        self.fn = _BINOPS[op][0]
+        if (op == "^" and isinstance(right, _Num) and right.value >= 0
+                and right.value.is_integer()):
+            # a constant non-negative integer exponent: neither domain
+            # check of _pow can fire
+            self.fn = _power
 
     def eval(self, env):
-        fn, _ = _BINOPS[self.op]
-        return fn(self.left.eval(env), self.right.eval(env))
+        return self.fn(self.left.eval(env), self.right.eval(env))
 
     def to_text(self, parent_prec=0):
         prec = _BINOPS[self.op][1]

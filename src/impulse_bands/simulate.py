@@ -8,6 +8,16 @@ state at or above the top trigger is intervened immediately.  In absorbing
 mode, crossing the absorbing point collects the ruin penalty and ends the
 path.  Running reward accrues by the left-endpoint rule.
 
+Each path keeps the two edges of its cell, the interval between
+consecutive triggers (the lowest cell starts just above the absorbing
+point, or at the lower censoring bound; the highest ends at the upper
+one).  A step makes one test per path, and only the paths that left their
+cell go through absorption, the triggers in increasing order and
+censoring, so a second trigger crossed in one step is tested against the
+target the first jump left.  A path that stays in its cell can meet none
+of these events, so the payoffs equal those of testing every trigger on
+every path.
+
 RNG: numpy PCG64, split per path chunk from the user seed, so estimates
 are bit-identical for a fixed (config, policy) regardless of chunking
 order, and common random numbers across policies come from reusing a seed.
@@ -124,6 +134,17 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
             pay[m] += np.asarray(K(x[m], targets[-1]), dtype=float)
             x[m] = targets[-1]
 
+    # cell edges clipped to [floor, ceiling], so that a step ending inside
+    # its cell is neither absorbed nor censored wherever the triggers lie
+    if absorbing:
+        floor, ceiling = np.nextafter(lo, math.inf), math.inf
+    else:
+        floor, ceiling = censor_lo, np.nextafter(censor_hi, math.inf)
+    edges = np.clip(np.concatenate(([floor], triggers, [ceiling])),
+                    floor, ceiling)
+    cell = np.searchsorted(triggers, x, "right")
+    lower, upper = edges[cell], edges[cell + 1]
+
     disc = 1.0
     for _ in range(n_steps):
         m = x.size
@@ -139,41 +160,52 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
         else:
             x_new = x + drift_term + np.asarray(sig(x), dtype=float) * sqdt * z
 
-        dead = None
-        if absorbing:
-            hit = x_new <= lo
-            if np.any(hit):
-                denom = x[hit] - x_new[hit]
-                theta = np.where(denom > 0, (x[hit] - lo) / denom, 0.0)
-                pay[hit] += (disc * P) * decay ** theta
-                dead = hit
-                absorbed[idx[hit]] = True
+        inside = (x_new >= lower) & (x_new < upper)
+        if not inside.all():
+            # only the paths that left their cell can meet an event
+            j = np.flatnonzero(~inside)
+            xj, xn, pj = x[j], x_new[j], pay[j]
+            dead = None
+            if absorbing:
+                hit = xn <= lo
+                if hit.any():
+                    denom = xj[hit] - xn[hit]
+                    theta = np.where(denom > 0, (xj[hit] - lo) / denom, 0.0)
+                    pj[hit] += (disc * P) * decay ** theta
+                    dead = hit
+                    absorbed[idx[j[hit]]] = True
 
-        for k in range(triggers.size):
-            b = triggers[k]
-            crossed = (x < b) != (x_new < b)
+            for k in range(triggers.size):
+                b = triggers[k]
+                crossed = (xj < b) != (xn < b)
+                if dead is not None:
+                    crossed &= ~dead
+                if not crossed.any():
+                    continue
+                denom = xn[crossed] - xj[crossed]
+                theta = np.where(np.abs(denom) > 0,
+                                 (b - xj[crossed]) / denom, 0.0)
+                pj[crossed] += (disc * k_at_barrier[k]) * decay ** theta
+                xn[crossed] = targets[k]
+
+            if not absorbing:
+                wild = (xn > censor_hi) | (xn < censor_lo)
+                if wild.any():
+                    dead = wild if dead is None else (dead | wild)
+                    censored[idx[j[wild]]] = True
+
+            pay[j] = pj
+            x_new[j] = xn
+            cell = np.searchsorted(triggers, xn, "right")
+            lower[j], upper[j] = edges[cell], edges[cell + 1]
             if dead is not None:
-                crossed &= ~dead
-            if not np.any(crossed):
-                continue
-            denom = x_new[crossed] - x[crossed]
-            theta = np.where(np.abs(denom) > 0,
-                             (b - x[crossed]) / denom, 0.0)
-            pay[crossed] += (disc * k_at_barrier[k]) * decay ** theta
-            x_new[crossed] = targets[k]
-
-        if not absorbing:
-            wild = (x_new > censor_hi) | (x_new < censor_lo)
-            if np.any(wild):
-                dead = wild if dead is None else (dead | wild)
-                censored[idx[wild]] = True
-
-        if dead is not None:
-            payoff[idx[dead]] = pay[dead]
-            keep = ~dead
-            x, pay, idx = x_new[keep], pay[keep], idx[keep]
-        else:
-            x = x_new
+                gone = j[dead]
+                payoff[idx[gone]] = pay[gone]
+                keep = np.ones(m, dtype=bool)
+                keep[gone] = False
+                x_new, pay, idx = x_new[keep], pay[keep], idx[keep]
+                lower, upper = lower[keep], upper[keep]
+        x = x_new
         disc *= decay
 
     payoff[idx] = pay

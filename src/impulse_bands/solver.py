@@ -354,7 +354,7 @@ def _target_grid(ctx):
     lo, x_hi = ctx.solved_lo, ctx.window[1]
     span = x_hi - lo
     margin = 1e-4 * span
-    uniform = np.linspace(lo + margin, x_hi - 0.05 * span, opts.scan_points)
+    uniform = np.linspace(lo + margin, x_hi - margin, opts.scan_points)
     geometric = lo + span * 2.0 ** (-np.arange(2.0, 17.0))
     grid = np.unique(np.concatenate([uniform, geometric]))
     return grid[(grid > lo + margin) & (grid < x_hi)]

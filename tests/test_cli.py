@@ -175,6 +175,12 @@ def test_check_subcommand(tmp_path, capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_check_passes_on_multiband_config(tmp_path, capsys):
+    cfg = str(CONFIG_DIR / "bm_sine_multiband.cfg")
+    assert main(["check", cfg, "--out", str(tmp_path / "chk")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as ex:
         main(["--version"])

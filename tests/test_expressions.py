@@ -65,6 +65,28 @@ def test_domain_errors():
         parse_expr("x^(-1)", ("x",))(0.0)
 
 
+def test_integer_power_skips_domain_checks_bitwise():
+    from impulse_bands.expressions import _pow, _power
+    xs = np.random.default_rng(4).standard_normal(10_000)
+    xs[::7] = 0.0
+    for n in (0.0, 1.0, 2.0, 3.0, 7.0):
+        e = parse_expr(f"x^{n!r}", ("x",))
+        assert e._root.fn is _power
+        checked = np.power(xs, np.asarray(n, dtype=float))
+        assert e(xs).tobytes() == checked.tobytes()
+        assert e(-1.5) == float(np.power(-1.5, np.asarray(n, dtype=float)))
+        assert type(e(-1.5)) is float
+        assert str(e) == f"x ^ {n!r}"
+    for text in ("x^0.5", "x^(-1)", "x^-2", "x^1.5", "x^x"):
+        assert parse_expr(text, ("x",))._root.fn is _pow
+    with pytest.raises(ExprEvalError):
+        parse_expr("x^0.5", ("x",))(np.array([1.0, -2.0]))
+    with pytest.raises(ExprEvalError):
+        parse_expr("x^(-1)", ("x",))(np.array([1.0, 0.0]))
+    with pytest.raises(ExprEvalError):
+        parse_expr("0^-1", ("x",))(1.0)
+
+
 def test_param_substitution_closes_expression():
     e = parse_expr("k*(x - y)^gamma - Kfix", ("x", "y"),
                    params={"k": 0.7, "gamma": 0.75, "Kfix": 0.1})

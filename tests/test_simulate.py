@@ -1,10 +1,14 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from impulse_bands import (SimConfig, SimulationError, assemble_value,
+                           build_context, load_config, parse_expr,
                            policy_dominance, simulate_policy)
 from impulse_bands.model import BandPolicy
+from impulse_bands.simulate import _const_or_none
 
 
 def band(*pairs):
@@ -132,3 +136,245 @@ def test_multiband_dominates_single_band(sine_ctx, sine_scan):
     assert rep.result_alt.estimate < rep.result_opt.estimate
     # both runs end by absorption, not by the horizon
     assert rep.result_opt.censored_fraction < 0.05
+
+
+# ---------------------------------------------------------------------------
+# The per-trigger loop as reference for the cell-exit kernel
+# ---------------------------------------------------------------------------
+
+def _reference_chunk(ctx, policy, cfg, n, rng):
+    """Every path tested against every trigger in every step.
+
+    Also returns the most triggers one path crossed in one step.
+    """
+    d = ctx.problem.diffusion
+    alpha = d.alpha
+    mu_c = _const_or_none(d.drift)
+    sig_c = _const_or_none(d.vol)
+    mu, sig = d.drift, d.vol
+    f = ctx.problem.running_reward
+    f_is_zero = ctx.g_provenance == "zero"
+    P = ctx.problem.ruin_penalty
+    lo = d.lo
+    absorbing = ctx.absorbing
+    x_span = ctx.window[1] - ctx.window[0]
+    censor_hi = ctx.window[1] + 0.75 * x_span
+    censor_lo = ctx.window[0] - 0.75 * x_span
+
+    triggers = np.array(policy.triggers, dtype=float)
+    targets = np.array(policy.targets, dtype=float)
+    K = ctx.problem.intervention_reward
+    k_at_barrier = np.array(
+        [float(K(b, a)) for a, b in policy.bands], dtype=float)
+
+    sqdt = math.sqrt(cfg.dt)
+    decay = math.exp(-alpha * cfg.dt)
+    n_steps = int(math.ceil(cfg.horizon / cfg.dt))
+
+    x = np.full(n, float(cfg.x0))
+    pay = np.zeros(n)
+    idx = np.arange(n)
+    payoff = np.zeros(n)
+    censored = np.zeros(n, dtype=bool)
+    absorbed = np.zeros(n, dtype=bool)
+    most = 0
+
+    if triggers.size:
+        m = x >= triggers[-1]
+        if np.any(m):
+            pay[m] += np.asarray(K(x[m], targets[-1]), dtype=float)
+            x[m] = targets[-1]
+
+    disc = 1.0
+    for _ in range(n_steps):
+        m = x.size
+        if m == 0:
+            break
+        if not f_is_zero:
+            pay += (disc * cfg.dt) * np.asarray(f(x), dtype=float)
+        z = rng.standard_normal(m)
+        drift_term = (mu_c * cfg.dt) if mu_c is not None \
+            else np.asarray(mu(x), dtype=float) * cfg.dt
+        if sig_c is not None:
+            x_new = x + drift_term + (sig_c * sqdt) * z
+        else:
+            x_new = x + drift_term + np.asarray(sig(x), dtype=float) * sqdt * z
+
+        dead = None
+        if absorbing:
+            hit = x_new <= lo
+            if np.any(hit):
+                denom = x[hit] - x_new[hit]
+                theta = np.where(denom > 0, (x[hit] - lo) / denom, 0.0)
+                pay[hit] += (disc * P) * decay ** theta
+                dead = hit
+                absorbed[idx[hit]] = True
+
+        n_crossed = np.zeros(m, dtype=int)
+        for k in range(triggers.size):
+            b = triggers[k]
+            crossed = (x < b) != (x_new < b)
+            if dead is not None:
+                crossed &= ~dead
+            if not np.any(crossed):
+                continue
+            n_crossed += crossed
+            denom = x_new[crossed] - x[crossed]
+            theta = np.where(np.abs(denom) > 0,
+                             (b - x[crossed]) / denom, 0.0)
+            pay[crossed] += (disc * k_at_barrier[k]) * decay ** theta
+            x_new[crossed] = targets[k]
+        most = max(most, int(n_crossed.max()))
+
+        if not absorbing:
+            wild = (x_new > censor_hi) | (x_new < censor_lo)
+            if np.any(wild):
+                dead = wild if dead is None else (dead | wild)
+                censored[idx[wild]] = True
+
+        if dead is not None:
+            payoff[idx[dead]] = pay[dead]
+            keep = ~dead
+            x, pay, idx = x_new[keep], pay[keep], idx[keep]
+        else:
+            x = x_new
+        disc *= decay
+
+    payoff[idx] = pay
+    if absorbing:
+        censored[idx] = True
+    return payoff, np.sum(censored) / n, np.sum(absorbed) / n, most
+
+
+def _context(text):
+    cfg = load_config(text)
+    return build_context(cfg.problem, cfg.solver)
+
+
+PENALTY_CONFIG = """
+[diffusion]
+drift = "0"
+vol = "1"
+alpha = 0.1
+lo = 0
+hi = inf
+boundary = "absorbing"
+penalty = -2.0
+
+[reward]
+f = "0"
+K = "x - y - 0.5"
+
+[solver]
+x_max = 10
+"""
+
+STATEVOL_CONFIG = """
+[diffusion]
+drift = "delta*(m - x)"
+vol = "sigma*(1 + 0.2*x)"
+alpha = 0.105
+lo = 0
+hi = inf
+boundary = "absorbing"
+penalty = 0.0
+
+[reward]
+f = "-0.02*x"
+K = "k*(x - y)^gamma - Kfix"
+
+[params]
+delta = 0.1
+m = 0.9
+sigma = 0.35
+k = 0.7
+Kfix = 0.1
+gamma = 0.75
+
+[solver]
+x_max = 2.5
+"""
+
+
+def _lands_on_lo(ctx):
+    # drift -1 and no volatility take a path from 0.25 exactly onto the
+    # absorbing point 0 in its one step of 0.25, which must absorb it
+    d = dataclasses.replace(ctx.problem.diffusion,
+                            drift=parse_expr("-1", ("x",)),
+                            vol=parse_expr("0", ("x",)))
+    return dataclasses.replace(
+        ctx, problem=dataclasses.replace(ctx.problem, diffusion=d))
+
+
+def _ladder():
+    # triggers 0.1 apart: a first step at dt = 0.05 (sd 0.22) from 0.25
+    # often falls below 0.1, and its crossing of 0.2 reads the target 0.0
+    # that its crossing of 0.1 left
+    return band((0.0, 0.1), (0.1, 0.2), (0.2, 0.3))
+
+
+# name -> (context, policy, SimConfig) and what the case must exercise,
+# read from (SimResult, most triggers one path crossed in one step)
+KERNEL_CASES = {
+    "sine_7_bands": (
+        lambda fx: (fx("sine_ctx"), fx("sine_scan").policy,
+                    SimConfig(x0=10.0, dt=0.05, horizon=400.0, n_paths=300,
+                              seed=8)),
+        lambda res, most: res.absorbed_fraction > 0 and most >= 1),
+    "two_triggers_in_one_step": (
+        lambda fx: (fx("bm_ctx"), _ladder(),
+                    SimConfig(x0=0.25, dt=0.05, horizon=70.0, n_paths=300,
+                              seed=16)),
+        lambda res, most: most >= 2),
+    "absorbing_penalty": (
+        lambda fx: (_context(PENALTY_CONFIG), band((1.0, 2.5)),
+                    SimConfig(x0=1.0, dt=1e-2, horizon=30.0, n_paths=1000,
+                              seed=9)),
+        lambda res, most: res.absorbed_fraction > 0),
+    "natural_censored": (
+        lambda fx: (fx("no_intervention_ctx"), band((0.0, 5.0)),
+                    SimConfig(x0=0.0, dt=1e-2, horizon=70.0, n_paths=2000,
+                              seed=10)),
+        lambda res, most: res.censored_fraction > 0),
+    "x0_above_top": (
+        lambda fx: (fx("bm_ctx"), band((5.0, 12.0)),
+                    SimConfig(x0=14.0, dt=1e-2, horizon=70.0, n_paths=400,
+                              seed=11)),
+        lambda res, most: most >= 1),
+    "empty_policy": (
+        lambda fx: (fx("bm_ctx"), band(),
+                    SimConfig(x0=0.0, dt=1e-2, horizon=70.0, n_paths=400,
+                              seed=12)),
+        lambda res, most: res.estimate != 0.0),
+    "statevol_reserve": (
+        lambda fx: (_context(STATEVOL_CONFIG), band((0.17, 0.58)),
+                    SimConfig(x0=0.4, dt=2e-3, horizon=6.0, n_paths=2000,
+                              seed=13)),
+        lambda res, most: res.absorbed_fraction > 0 and most >= 1),
+    "trigger_beyond_censoring": (
+        lambda fx: (fx("no_intervention_ctx"),
+                    band((-30.0, -25.0), (0.0, 5.0)),
+                    SimConfig(x0=0.0, dt=1e-2, horizon=70.0, n_paths=2000,
+                              seed=14)),
+        lambda res, most: res.censored_fraction > 0),
+    "lands_on_lo": (
+        lambda fx: (_lands_on_lo(_context(PENALTY_CONFIG)), band((1.0, 2.5)),
+                    SimConfig(x0=0.25, dt=0.25, horizon=0.25, n_paths=5,
+                              seed=15)),
+        lambda res, most: res.absorbed_fraction == 1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_CASES))
+def test_kernel_matches_reference_loop(name, request):
+    build, exercised = KERNEL_CASES[name]
+    ctx, policy, cfg = build(request.getfixturevalue)
+    res, pay = simulate_policy(ctx, policy, cfg, return_payoffs=True)
+    seed = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    ref_pay, ref_censored, ref_absorbed, most = _reference_chunk(
+        ctx, policy, cfg, cfg.n_paths,
+        np.random.Generator(np.random.PCG64(seed)))
+    assert pay.tobytes() == ref_pay.tobytes()
+    assert res.censored_fraction == ref_censored
+    assert res.absorbed_fraction == ref_absorbed
+    assert exercised(res, most)

@@ -99,6 +99,17 @@ def test_scan_multiband_structure(sine_scan):
         assert st.beta == pytest.approx(p.slope, rel=1e-4)
 
 
+def test_scan_finds_seventh_sine_band(sine_scan):
+    # the target grid reaches x_max - margin, so the band at a7 ~ 40.46,
+    # above x_max - 5 % of the span, is found
+    p = sine_scan.policy
+    assert len(p.bands) == 7
+    a1, b1 = p.bands[0]
+    for k, (a, b) in enumerate(p.bands):
+        assert a == pytest.approx(a1 + 2 * math.pi * k, rel=1e-6)
+        assert b == pytest.approx(b1 + 2 * math.pi * k, rel=1e-6)
+
+
 def test_no_intervention_policy(no_intervention_ctx):
     p = maximize_slope(no_intervention_ctx)
     assert p.is_empty
