@@ -94,13 +94,8 @@ def check_majorant(ctx, vrep, n=400, rel_tol=1e-7):
 
 def check_contraction(ctx, a, deltas=(0.1, 1.0, 10.0), slack=1e-7):
     """Stopping value grows by at most delta when the bonus grows by delta."""
-    grid = stopping_grid(ctx)
-    base_gamma = 0.0
-    v0 = stopping_value(ctx, a, base_gamma, grid=grid)
-    worst = -math.inf
-    for d in deltas:
-        vd = stopping_value(ctx, a, base_gamma + d, grid=grid)
-        worst = max(worst, (vd - v0) - d)
+    vals = stopping_value(ctx, a, np.array((0.0, *deltas)))
+    worst = float(np.max((vals[1:] - vals[0]) - np.asarray(deltas)))
     ok = worst <= slack * 10
     return PropertyCheck(
         "gamma_contraction", ok,
@@ -126,9 +121,7 @@ def check_gamma_sign_change(ctx, targets, n_gamma=60, seed=5):
             continue
         tested += 1
         gammas = np.linspace(0.0, 2.5 * max(gstar, 1e-6), n_gamma)
-        vals = np.array([
-            stopping_value(ctx, float(a), float(g), grid=grid) - g
-            for g in gammas])
+        vals = stopping_value(ctx, float(a), gammas, grid=grid) - gammas
         signs = np.sign(vals[np.abs(vals) > 1e-12 * (1 + np.abs(vals).max())])
         flips = int(np.sum(np.diff(signs) != 0))
         if flips != 1:

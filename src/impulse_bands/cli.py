@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 config error, 2 solver/oracle failure,
 3 property-check failure.  CSV outputs use a header row, comma delimiter
 and 17-significant-digit scientific notation so doubles round-trip
 losslessly; simulation outputs additionally record the generator name and
-seed in leading comment lines.  IMPULSE_THREADS caps simulation workers.
+seed in leading comment lines.  Simulation runs one worker per core, at
+most one per path chunk; IMPULSE_THREADS sets the count instead.
 """
 
 from __future__ import annotations

@@ -342,9 +342,11 @@ def _match_catalog(spec):
     if np.max(np.abs(sg - sigma0)) <= 1e-10 * (1.0 + sigma0):
         coef = np.polynomial.polynomial.polyfit(xs, mu, 1)
         fit = coef[0] + coef[1] * xs
-        if np.max(np.abs(mu - fit)) <= 1e-10 * (1.0 + np.max(np.abs(mu))):
+        mu_scale = 1.0 + np.max(np.abs(mu))
+        if np.max(np.abs(mu - fit)) <= 1e-10 * mu_scale:
             q = float(coef[1])
-            if q < 0:
+            # a rounding-level slope (a constant drift) is not OU
+            if q * (xs[-1] - xs[0]) < -1e-10 * mu_scale:
                 delta = -q
                 m = float(coef[0]) / delta
                 return ("ou", delta, m, sigma0)

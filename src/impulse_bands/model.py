@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ExprEvalError, ValidationError
 from .expressions import Expr, parse_expr
 
 DIAGNOSTIC_GRID_POINTS = 256
@@ -163,7 +163,6 @@ class SolverOptions:
     band_tie_rel: float = 1e-4
     x_tol: float = 1e-9
     a_refine_tol: float = 1e-7
-    gamma_rel_tol: float = 1e-8
     oracle_nodes: int = 2000
     oracle_max_iter: int = 500
     oracle_tol: float = 1e-6
@@ -182,7 +181,6 @@ _SOLVER_FIELD_TYPES = {
     "band_tie_rel": float,
     "x_tol": float,
     "a_refine_tol": float,
-    "gamma_rel_tol": float,
     "oracle_nodes": int,
     "oracle_max_iter": int,
     "oracle_tol": float,
@@ -286,6 +284,16 @@ def _validate_problem(problem, options):
     if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
         bad = xs[~(np.isfinite(sigma) & (sigma > 0))][0]
         raise ValidationError(f"volatility must be positive; fails at x={bad}")
+    if d.absorbing:
+        # the pair is built by integrating up to the absorbing end
+        try:
+            s_lo = float(d.vol(d.lo))
+        except ExprEvalError:
+            s_lo = math.nan
+        if not (math.isfinite(s_lo) and s_lo > 0):
+            raise ValidationError(
+                "volatility must be positive at the absorbing boundary; "
+                f"fails at x={d.lo} (vol={s_lo})")
 
     mu = np.broadcast_to(np.asarray(d.drift(xs), dtype=float), xs.shape)
     if not np.all(np.isfinite(mu)):

@@ -216,21 +216,25 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
     return payoff, n_censored / n, n_absorbed / n
 
 
-def _worker_count():
+def _worker_count(n_chunks):
+    """IMPULSE_THREADS when set; otherwise one worker per core, at most one
+    per chunk.  Each chunk owns its seed, so the count never moves a
+    result."""
     env = os.environ.get("IMPULSE_THREADS", "")
+    if not env:
+        return min(os.cpu_count() or 1, n_chunks)
     try:
-        n = int(env)
+        return max(1, int(env))
     except ValueError:
-        n = 0
-    return max(1, n) if n else 1
+        return 1
 
 
 def simulate_policy(ctx, policy, cfg, n_workers=None, return_payoffs=False):
     """Sample mean and standard error of the discounted payoff under
     ``policy`` from ``cfg.x0``; deterministic for a fixed seed."""
     validate_sim(ctx, cfg)
-    n_workers = n_workers or _worker_count()
     n_chunks = max(1, math.ceil(cfg.n_paths / _CHUNK))
+    n_workers = n_workers or _worker_count(n_chunks)
     sizes = [cfg.n_paths // n_chunks] * n_chunks
     for i in range(cfg.n_paths - sum(sizes)):
         sizes[i] += 1

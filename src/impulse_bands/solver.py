@@ -10,9 +10,10 @@ tangentially at the trigger ``b`` determines the slope
 whose interior maxima over b are exactly the tangency roots, so stage one
 is solved by maximizing beta_vm.  Stage two maximizes beta(a) over
 targets; near-ties produce multi-band policies.  A gamma-parameterized
-stopping route (bisection against a concave-envelope stopping value)
-reaches the same fixed point independently and carries the contraction and
-uniqueness properties exercised by the test suite.
+stopping route (the steepest pin chord of the stopping problem, and its
+fixed point in closed form) reaches the same fixed point independently and
+carries the contraction and uniqueness properties exercised by the test
+suite.
 
 All heavy refinement runs in lockstep over candidate lanes so that pairs
 whose evaluation is quadrature-priced (the mean-reverting catalog) are hit
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import SolverError
 from .model import BandPolicy
 from .numerics import central_diff, golden_max_lanes, scalar_or_array
-from .oracle import make_grid, pinned_envelope
+from .oracle import make_grid
 from .transform import concavity_profile, finiteness_check
 
 _EXPECTED_PATTERNS = ("concave", "convex_concave", "concave_convex_concave")
@@ -277,72 +278,71 @@ def stopping_grid(ctx):
     return make_grid(ctx, n_nodes=max(512, ctx.options.oracle_nodes // 2))
 
 
-def stopping_value(ctx, a, gamma, grid=None):
-    """V^gamma_a(a): parameterized stopping value at the target.
+def _stop_states(ctx, a, grid):
+    """phi(a), F(a) - F_lo, and kbar(x_k, a), phi(x_k), F(x_k) - F_lo over
+    the grid's stop states x_k >= a (downward jumps only)."""
+    xs, ys = stopping_grid(ctx) if grid is None else grid
+    stop = xs >= a
+    return (float(ctx.pair.phi(a)), float(ctx.pair.F(a)) - ctx.F_lo,
+            np.asarray(ctx.kbar(xs[stop], a), dtype=float),
+            np.asarray(ctx.pair.phi(xs[stop]), dtype=float),
+            ys[stop] - ctx.F_lo)
 
-    Computed as the pinned concave envelope of the shifted transformed
-    reward over stop states at or above the target (downward jumps only),
-    evaluated at F(a) and scaled back by phi(a).
+
+def stopping_value(ctx, a, gamma, grid=None):
+    """V^gamma_a(a): the parameterized stopping value at the target, for a
+    scalar gamma (a float back) or an array of gammas (one value each).
+
+    It is the pinned concave envelope of the shifted transformed reward
+    (kbar(x_k, a) + gamma)/phi(x_k) over the stop states, read at F(a) and
+    scaled back by phi(a).  F(a) lies left of every stop state, where the
+    envelope is the steepest chord from the pin (F_lo, D), held flat when
+    every chord falls:
+
+        V = phi(a) (D + (F(a) - F_lo) max(0, max_k s_k(gamma))),
+        s_k(gamma) = ((kbar(x_k, a) + gamma)/phi(x_k) - D) / (F(x_k) - F_lo).
     """
-    if grid is None:
-        grid = stopping_grid(ctx)
-    xs, ys = grid
-    mask = xs >= a
-    if np.count_nonzero(mask) < 2:
+    a = float(a)
+    phi_a, c_a, kbar, phi_k, dF = _stop_states(ctx, a, grid)
+    if kbar.size == 0:
         raise SolverError(f"target a={a} leaves no room for a trigger")
-    xs_m, ys_m = xs[mask], ys[mask]
-    H = (ctx.kbar(xs_m, float(a)) + gamma) / ctx.pair.phi(xs_m)
-    env, _ = pinned_envelope(ys_m, H, (ctx.F_lo, ctx.D))
-    fa = float(ctx.pair.F(a))
-    hull_y = np.concatenate([[ctx.F_lo], ys_m])
-    hull_v = np.concatenate([[ctx.D], env])
-    w_at_a = float(np.interp(fa, hull_y, hull_v))
-    return float(ctx.pair.phi(a)) * w_at_a
+
+    def values(gammas):
+        s = ((kbar + gammas[:, None]) / phi_k - ctx.D) / dF
+        return phi_a * (ctx.D + c_a * np.maximum(0.0, s.max(axis=1)))
+
+    return scalar_or_array(values, gamma)
 
 
 def solve_gamma(ctx, a, grid=None):
-    """Unique fixed point gamma* = V^gamma*_a(a) by bracketed bisection.
+    """Unique fixed point gamma* = V^gamma*_a(a), in closed form.
 
-    The map gamma -> V - gamma starts positive (when some stop beats the
-    fixed cost), decreases 1-Lipschitz-ly, and eventually goes negative, so
-    doubling the upper end always closes a bracket.
+    V - gamma is the maximum of the line phi(a) D - gamma and the lines
+    L_k(gamma) = phi(a) (D + c_a s_k(gamma)) - gamma, c_a = F(a) - F_lo,
+    of slope phi(a) c_a / (phi(x_k) (F(x_k) - F_lo)) - 1.  The root of a
+    maximum of falling lines is the largest of their roots, so
+    gamma* = max(phi(a) D, max_k gamma_k).  A line of slope >= 0 is
+    dropped when it is not positive at gamma = 0: the stop state x_k = a
+    gives the constant kbar(a, a) < 0, whose slope rounding can put at
+    +1e-16.  One that is positive there keeps V - gamma positive for every
+    gamma, so the value is infinite and :class:`SolverError` is raised.
     """
     a = float(a)
-    if grid is None:
-        grid = stopping_grid(ctx)
-    xs, _ = grid
-    above = xs[xs >= a]
-    if above.size == 0 or float(np.max(ctx.kbar(above, a))) <= 0.0:
+    phi_a, c_a, kbar, phi_k, dF = _stop_states(ctx, a, grid)
+    if kbar.size == 0 or float(np.max(kbar)) <= 0.0:
         raise NoIntervention
-
-    rel = ctx.options.gamma_rel_tol
-
-    def gap(gamma):
-        return stopping_value(ctx, a, gamma, grid=grid) - gamma
-
-    g0 = gap(0.0)
-    if g0 <= 0.0:
+    at_zero = phi_a * (ctx.D + c_a * ((kbar / phi_k - ctx.D) / dF))
+    slope = phi_a * c_a / (phi_k * dF) - 1.0
+    if max(phi_a * ctx.D, float(np.max(at_zero))) <= 0.0:
         raise NoIntervention
-    hi = max(1.0, 2.0 * g0)
-    for _ in range(200):
-        if gap(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise SolverError("gamma bracket did not close; value may be infinite")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel * (1.0 + abs(mid)):
-            break
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    gamma = 0.5 * (lo + hi)
-    if abs(gap(gamma)) > 100 * rel * (1.0 + abs(gamma)):
-        raise SolverError(f"gamma fixed point did not settle at a={a}")
-    return gamma
+    falling = slope < 0.0
+    if np.any(at_zero[~falling] > 0.0):
+        raise SolverError(
+            f"gamma fixed point is infinite at a={a}: a stop line does not "
+            "fall as gamma grows")
+    return max(phi_a * ctx.D,
+               float(np.max(-at_zero[falling] / slope[falling],
+                            initial=-math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -80,21 +80,68 @@ def test_solver_failure_exit_2(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
-def test_vanishing_volatility_exit_2(tmp_path):
-    # CIR volatility sigma*sqrt(x) vanishes at the absorbing end lo = 0
-    text = read_config("ou_dividend.cfg").replace(
-        'vol = "sigma"', 'vol = "sigma*sqrt(x)"')
+def _run_module(tmp_path, text):
+    """python -W error -m impulse_bands solve on the config text."""
     cfg = write_cfg(tmp_path, text)
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run(
-        [sys.executable, "-m", "impulse_bands", "solve", cfg,
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "impulse_bands", "solve", cfg,
          "--out", str(tmp_path / "o")],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def test_vanishing_volatility_exit_2(tmp_path):
+    # CIR volatility sigma*sqrt(x) vanishes at the natural end lo = 0, where
+    # the numeric pair's integration starts
+    text = read_config("ou_dividend.cfg").replace(
+        'vol = "sigma"', 'vol = "sigma*sqrt(x)"').replace(
+        'boundary = "absorbing"', 'boundary = "natural"')
+    run = _run_module(tmp_path, text)
     assert run.returncode == 2
     assert "solver error" in run.stderr
     assert "Traceback" not in run.stderr
+
+
+def test_vanishing_volatility_at_absorbing_end_exit_1(tmp_path):
+    # the same CIR volatility with the absorbing end at 0 is rejected at load
+    text = read_config("ou_dividend.cfg").replace(
+        'vol = "sigma"', 'vol = "sigma*sqrt(x)"')
+    assert 'boundary = "absorbing"' in text
+    run = _run_module(tmp_path, text)
+    assert run.returncode == 1
+    assert "config error: volatility must be positive at the absorbing " \
+        "boundary; fails at x=0.0 (vol=0.0)" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+CONSTANT_NEGATIVE_DRIFT = """
+[diffusion]
+drift = "-0.2"
+vol = "1"
+alpha = 0.1
+lo = 0
+hi = inf
+boundary = "absorbing"
+
+[reward]
+f = "0"
+K = "x - y - 0.3"
+
+[solver]
+x_max = 10
+"""
+
+
+def test_constant_negative_drift_solves(tmp_path):
+    # the fitted drift slope is rounding noise (-8.6e-18), not an OU pull
+    run = _run_module(tmp_path, CONSTANT_NEGATIVE_DRIFT)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    assert "1 band(s), beta*=17.90" in run.stdout
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "pair_provenance = numeric" in report
 
 
 def test_iterate_outputs(tmp_path):

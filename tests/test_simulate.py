@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from impulse_bands import (SimConfig, SimulationError, assemble_value,
                            build_context, load_config, parse_expr,
                            policy_dominance, simulate_policy)
 from impulse_bands.model import BandPolicy
-from impulse_bands.simulate import _const_or_none
+from impulse_bands.simulate import _const_or_none, _worker_count
 
 
 def band(*pairs):
@@ -73,11 +74,21 @@ def test_thread_count_does_not_change_results(sine_ctx, sine_scan,
     # chunk seeds are derived from the user seed, so the worker count can
     # only change scheduling, never numbers
     cfg = SimConfig(x0=1.0, dt=1e-2, horizon=500.0, n_paths=48000, seed=31)
+    monkeypatch.setenv("IMPULSE_THREADS", "1")
     serial = simulate_policy(sine_ctx, sine_scan.policy, cfg)
-    monkeypatch.setenv("IMPULSE_THREADS", "3")
-    threaded = simulate_policy(sine_ctx, sine_scan.policy, cfg)
-    assert threaded.estimate == serial.estimate
-    assert threaded.std_error == serial.std_error
+    for n in ("2", "3"):
+        monkeypatch.setenv("IMPULSE_THREADS", n)
+        threaded = simulate_policy(sine_ctx, sine_scan.policy, cfg)
+        assert threaded.estimate == serial.estimate
+        assert threaded.std_error == serial.std_error
+
+
+def test_default_worker_count(monkeypatch):
+    monkeypatch.delenv("IMPULSE_THREADS", raising=False)
+    assert _worker_count(5) == min(os.cpu_count() or 1, 5)
+    assert _worker_count(1) == 1
+    monkeypatch.setenv("IMPULSE_THREADS", "1")
+    assert _worker_count(5) == 1
 
 
 def test_identical_policies_tie_exactly(bm_ctx, bm_scan):

@@ -1,11 +1,17 @@
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from impulse_bands import (NoIntervention, assemble_value, maximize_slope,
+from impulse_bands import (NoIntervention, SolverError, assemble_value,
+                           build_context, load_config, maximize_slope,
                            smooth_fit_check, solve_gamma, tangency_solve)
-from impulse_bands.solver import stopping_value
+from impulse_bands.oracle import pinned_envelope
+from impulse_bands.solver import _target_grid, stopping_grid, stopping_value
+
+STATEVOL_CFG = pathlib.Path(__file__).resolve().parent.parent \
+    / "benchmark" / "configs" / "statevol_reserve.cfg"
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +79,98 @@ def test_gamma_map_single_sign_change(bm_ctx):
     vals = np.array([stopping_value(bm_ctx, a, g) - g for g in gammas])
     signs = np.sign(vals[np.abs(vals) > 1e-12])
     assert int(np.sum(np.diff(signs) != 0)) == 1
+
+
+def _reference_stopping_value(ctx, a, gamma, grid):
+    """The full pinned concave envelope of the shifted reward over the stop
+    states, read at F(a): the reference for the closed form."""
+    xs, ys = grid
+    mask = xs >= a
+    if np.count_nonzero(mask) < 2:
+        raise SolverError(f"target a={a} leaves no room for a trigger")
+    xs_m, ys_m = xs[mask], ys[mask]
+    H = (ctx.kbar(xs_m, float(a)) + gamma) / ctx.pair.phi(xs_m)
+    env, _ = pinned_envelope(ys_m, H, (ctx.F_lo, ctx.D))
+    hull_y = np.concatenate([[ctx.F_lo], ys_m])
+    hull_v = np.concatenate([[ctx.D], env])
+    w_at_a = float(np.interp(float(ctx.pair.F(a)), hull_y, hull_v))
+    return float(ctx.pair.phi(a)) * w_at_a
+
+
+def _reference_solve_gamma(ctx, a, grid, rel=1e-8):
+    """Bracket doubling and bisection on V - gamma to rel (1 + gamma): the
+    reference for the closed-form root."""
+    xs, _ = grid
+    above = xs[xs >= a]
+    if above.size == 0 or float(np.max(ctx.kbar(above, a))) <= 0.0:
+        raise NoIntervention
+
+    def gap(gamma):
+        return _reference_stopping_value(ctx, a, gamma, grid) - gamma
+
+    g0 = gap(0.0)
+    if g0 <= 0.0:
+        raise NoIntervention
+    hi = max(1.0, 2.0 * g0)
+    for _ in range(200):
+        if gap(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise SolverError("gamma bracket did not close")
+    lo = 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= rel * (1.0 + abs(mid)):
+            break
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.fixture(scope="module")
+def statevol_ctx():
+    cfg = load_config(STATEVOL_CFG.read_text())
+    return build_context(cfg.problem, cfg.solver)
+
+
+@pytest.mark.parametrize(
+    "name", ["bm_ctx", "ou_ctx", "sine_ctx", "statevol_ctx"])
+def test_closed_form_gamma_matches_envelope_route(name, request):
+    ctx = request.getfixturevalue(name)
+    grid = stopping_grid(ctx)
+    xs = grid[0]
+    scan = _target_grid(ctx)
+    nodes = xs[(xs > scan[0]) & (xs < scan[-1])]
+    targets = np.concatenate([
+        scan[:: max(1, scan.size // 12)],
+        nodes[np.linspace(0, nodes.size - 1, 12).astype(int)]])
+    assert np.isin(targets, xs).sum() >= 12  # grid-node targets covered
+    solved = 0
+    for a in targets:
+        try:
+            ref = _reference_solve_gamma(ctx, a, grid)
+        except NoIntervention:
+            with pytest.raises(NoIntervention):
+                solve_gamma(ctx, a, grid=grid)
+            ref = None
+        if ref is not None:
+            assert abs(solve_gamma(ctx, a, grid=grid) - ref) \
+                <= 1e-8 * (1.0 + ref)
+            solved += 1
+        scale = 1.0 if ref is None else 1.0 + ref
+        gammas = scale * np.array([0.0, 0.1, 0.5, 0.9, 1.0, 1.1, 2.5, 10.0])
+        vals = stopping_value(ctx, a, gammas, grid=grid)
+        singles = [stopping_value(ctx, a, float(g), grid=grid)
+                   for g in gammas]
+        assert all(isinstance(v, float) for v in singles)
+        assert vals.tobytes() == np.array(singles).tobytes()
+        refs = np.array([_reference_stopping_value(ctx, a, g, grid)
+                         for g in gammas])
+        np.testing.assert_allclose(vals, refs, rtol=1e-14, atol=0.0)
+    assert solved >= 8
 
 
 # ---------------------------------------------------------------------------
