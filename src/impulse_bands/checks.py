@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ImpulseError
 from .oracle import concave_envelope, value_iteration
 from .solver import (NoIntervention, assemble_value, scan_slopes,
                      stopping_grid, stopping_value)
@@ -116,7 +117,7 @@ def check_gamma_sign_change(ctx, targets, n_gamma=60, seed=5):
             gstar = solve_gamma(ctx, float(a), grid=grid)
         except NoIntervention:
             continue
-        except Exception:
+        except ImpulseError:
             bad.append((float(a), "solve failed"))
             continue
         tested += 1

@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -63,10 +64,10 @@ def _load(args):
     cfg = load_config(text)
     solver = cfg.solver
     if getattr(args, "grid", None):
-        solver = solver.with_overrides(
-            oracle_nodes=args.grid, scan_points=max(50, args.grid // 10))
+        solver = replace(solver, oracle_nodes=args.grid,
+                         scan_points=max(50, args.grid // 10))
     if getattr(args, "tol", None):
-        solver = solver.with_overrides(oracle_tol=args.tol)
+        solver = replace(solver, oracle_tol=args.tol)
     return cfg, solver, text
 
 
@@ -257,6 +258,15 @@ def cmd_check(args):
     return 0
 
 
+_FLAGS = {
+    "--out": dict(default="out", help="output directory"),
+    "--seed": dict(type=int, default=0, help="random seed"),
+    "--grid": dict(type=int, default=None, help="override grid node count"),
+    "--tol": dict(type=float, default=None,
+                  help="override iteration tolerance"),
+}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="impulse-bands",
@@ -264,27 +274,24 @@ def _build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, *flags):
+        """The config argument plus those of the shared flags sp reads."""
         sp.add_argument("config", help="problem config file")
-        sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid", type=int, default=None,
-                        help="override grid node count")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override iteration tolerance")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
 
     sp = sub.add_parser("solve", help="compute the optimal band policy")
-    common(sp)
+    common(sp, "--out", "--grid")
     sp.set_defaults(fn=cmd_solve)
 
     sp = sub.add_parser("iterate", help="grid value-iteration oracle")
-    common(sp)
+    common(sp, "--out", "--grid", "--tol")
     sp.add_argument("--log-every", type=int, default=10,
                     help="record every Nth iterate in iterates.csv")
     sp.set_defaults(fn=cmd_iterate)
 
     sp = sub.add_parser("simulate", help="Monte Carlo policy evaluation")
-    common(sp)
+    common(sp, "--out", "--seed")
     sp.add_argument("--policy", default=None,
                     help="policy.json from a prior solve")
     sp.add_argument("--band", action="append", default=None,
@@ -296,7 +303,9 @@ def _build_parser():
     sp.set_defaults(fn=cmd_simulate)
 
     sp = sub.add_parser("check", help="run the property suite")
-    common(sp)
+    # check writes no file; it keeps --out because benchmark/reference.py
+    # passes it
+    common(sp, "--out", "--grid")
     sp.set_defaults(fn=cmd_check)
     return p
 

@@ -30,7 +30,7 @@ here are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -160,41 +160,22 @@ class SolverOptions:
     x_min: float | None = None
     x_max: float | None = None
     scan_points: int = 200
-    band_tie_rel: float = 1e-4
-    x_tol: float = 1e-9
-    a_refine_tol: float = 1e-7
     oracle_nodes: int = 2000
-    oracle_max_iter: int = 500
     oracle_tol: float = 1e-6
     oracle_x_max: float | None = None
     normalization_point: float | None = None
     numeric_pair_tol: float = 1e-8
 
-    def with_overrides(self, **kw):
-        return replace(self, **kw)
 
-
+# annotations are strings under the __future__ import
 _SOLVER_FIELD_TYPES = {
-    "x_min": float,
-    "x_max": float,
-    "scan_points": int,
-    "band_tie_rel": float,
-    "x_tol": float,
-    "a_refine_tol": float,
-    "oracle_nodes": int,
-    "oracle_max_iter": int,
-    "oracle_tol": float,
-    "oracle_x_max": float,
-    "normalization_point": float,
-    "numeric_pair_tol": float,
-}
+    f.name: int if f.type == "int" else float for f in fields(SolverOptions)}
 
 
 @dataclass(frozen=True)
 class LoadedConfig:
     problem: ImpulseProblem
     solver: SolverOptions
-    raw_text: str = field(repr=False, default="")
 
 
 def resolve_window(problem, options):
@@ -267,6 +248,21 @@ def parse_config_text(text):
             raise ConfigError(f"line {lineno}: missing key")
         sections[current][key] = _parse_scalar(raw, key, lineno)
     return sections
+
+
+def _number(value, key, section_name, kind=float):
+    """value as a float (or an int for kind=int); ConfigError otherwise."""
+    try:
+        out = float(value)
+    except ValueError:
+        raise ConfigError(
+            f"[{section_name}] {key} must be a number, got {value!r}") from None
+    if kind is int:
+        if not out.is_integer():
+            raise ConfigError(
+                f"[{section_name}] {key} must be an integer, got {value!r}")
+        return int(out)
+    return out
 
 
 def _require(section, key, section_name):
@@ -345,11 +341,11 @@ def load_config(text):
     spec = DiffusionSpec(
         drift=parse_expr(drift_text, ("x",), params),
         vol=parse_expr(vol_text, ("x",), params),
-        alpha=float(alpha),
-        lo=float(diff.get("lo", -math.inf)),
-        hi=float(diff.get("hi", math.inf)),
+        alpha=_number(alpha, "alpha", "diffusion"),
+        lo=_number(diff.get("lo", -math.inf), "lo", "diffusion"),
+        hi=_number(diff.get("hi", math.inf), "hi", "diffusion"),
         boundary=str(boundary),
-        penalty=float(diff.get("penalty", 0.0)),
+        penalty=_number(diff.get("penalty", 0.0), "penalty", "diffusion"),
     )
 
     f_text = _require(reward, "f", "reward")
@@ -375,11 +371,12 @@ def load_config(text):
     for key, value in solver_section.items():
         if key not in _SOLVER_FIELD_TYPES:
             raise ConfigError(f"unknown [solver] option {key!r}")
-        overrides[key] = _SOLVER_FIELD_TYPES[key](value)
+        overrides[key] = _number(value, key, "solver",
+                                 _SOLVER_FIELD_TYPES[key])
     options = SolverOptions(**overrides)
 
     _validate_problem(problem, options)
-    return LoadedConfig(problem=problem, solver=options, raw_text=text)
+    return LoadedConfig(problem=problem, solver=options)
 
 
 def load_problem(config_text):

@@ -39,8 +39,7 @@ def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    n = lo.size
-    all_idx = np.arange(n)
+    all_idx = np.arange(lo.size)
     h = hi - lo
     x1 = lo + _INVPHI2 * h
     x2 = lo + _INVPHI * h
@@ -48,29 +47,19 @@ def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
     f2 = f(x2, all_idx)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
     for _ in range(max_iter):
-        active = h > xtol
-        if not np.any(active):
+        act = np.flatnonzero(h > xtol)
+        if not act.size:
             break
-        left = active & (f1 >= f2)
-        right = active & ~left
-        if np.any(left):
-            hi[left] = x2[left]
-            x2[left] = x1[left]
-            f2[left] = f1[left]
-            h[left] = hi[left] - lo[left]
-            x1[left] = lo[left] + _INVPHI2 * h[left]
-        if np.any(right):
-            lo[right] = x1[right]
-            x1[right] = x2[right]
-            f1[right] = f2[right]
-            h[right] = hi[right] - lo[right]
-            x2[right] = lo[right] + _INVPHI * h[right]
-        query = np.concatenate([x1[left], x2[right]])
-        idx = np.concatenate([all_idx[left], all_idx[right]])
-        if query.size:
-            vals = f(query, idx)
-            f1[left] = vals[: int(np.sum(left))]
-            f2[right] = vals[int(np.sum(left)):]
+        to_left = f1[act] >= f2[act]
+        left, right = act[to_left], act[~to_left]
+        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
+        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
+        h[act] = hi[act] - lo[act]
+        x1[left] = lo[left] + _INVPHI2 * h[left]
+        x2[right] = lo[right] + _INVPHI * h[right]
+        vals = f(np.concatenate([x1[left], x2[right]]),
+                 np.concatenate([left, right]))
+        f1[left], f2[right] = vals[:left.size], vals[left.size:]
     xs = np.where(f1 >= f2, x1, x2)
     fs = np.maximum(f1, f2)
     return xs, fs

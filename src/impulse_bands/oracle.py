@@ -169,17 +169,16 @@ def intervention_operator(ctx, grid, values=None, workspace=None):
     return best / ws.phi
 
 
-def value_iteration(ctx, n_nodes=None, n_max=None, tol=None, x_max=None,
+def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
                     keep_iterates=0):
     """Iterate envelope(M Phi) from the no-intervention start to a fixpoint.
 
+    Stops after ``n_max`` sweeps or once the sup-change is at most ``tol``.
     Returns a converged :class:`OracleGrid` carrying the trigger nodes where
     the envelope touches the intervention value.  Raises OracleError if the
     problem fails the finiteness screen.
     """
-    opts = ctx.options
-    n_max = n_max or opts.oracle_max_iter
-    tol = tol or opts.oracle_tol
+    tol = tol or ctx.options.oracle_tol
     xs, ys = make_grid(ctx, n_nodes=n_nodes, x_max=x_max)
 
     probe_a = xs[int(0.25 * xs.size)]

@@ -9,7 +9,9 @@ tangentially at the trigger ``b`` determines the slope
 
 whose interior maxima over b are exactly the tangency roots, so stage one
 is solved by maximizing beta_vm.  Stage two maximizes beta(a) over
-targets; near-ties produce multi-band policies.  A gamma-parameterized
+targets; near-ties produce multi-band policies.  The module constants
+``X_TOL``, ``A_REFINE_TOL`` and ``BAND_TIE_REL`` fix both searches' tolerances
+and the band tie rule.  A gamma-parameterized
 stopping route (the steepest pin chord of the stopping problem, and its
 fixed point in closed form) reaches the same fixed point independently and
 carries the contraction and uniqueness properties exercised by the test
@@ -34,6 +36,10 @@ from .oracle import make_grid
 from .transform import concavity_profile, finiteness_check
 
 _EXPECTED_PATTERNS = ("concave", "convex_concave", "concave_convex_concave")
+
+X_TOL = 1e-9          # relative trigger tolerance of stage one
+A_REFINE_TOL = 1e-7   # relative target tolerance of stage two
+BAND_TIE_REL = 1e-4   # a target within this share of beta* adds a band
 
 
 class NoIntervention(Exception):
@@ -167,11 +173,10 @@ def _stage_roots(ctx, a_vec, workspace=None):
     per-target flag telling whether the chord slope was still rising at the
     truncation edge.
     """
-    opts = ctx.options
     ws = workspace or _ScanWorkspace(ctx)
     a_vec = np.atleast_1d(np.asarray(a_vec, dtype=float))
     span = ctx.window[1] - ctx.window[0]
-    gap = max(1e-3 * span / ws.b_grid.size, 10 * opts.x_tol)
+    gap = max(1e-3 * span / ws.b_grid.size, 10 * X_TOL)
 
     at_a = _chord_terms(ctx, a_vec)
     bs = ws.b_grid
@@ -188,18 +193,13 @@ def _stage_roots(ctx, a_vec, workspace=None):
         & mask[:, :-2]
     rows, cols = np.nonzero(inner)
 
-    edge_flag = np.zeros(a_vec.size, dtype=bool)
-    valid_any = np.zeros(a_vec.size, dtype=bool)
-    row_best = np.full(a_vec.size, -np.inf)
-    for i in range(a_vec.size):
-        row_mask = mask[i]
-        if np.count_nonzero(row_mask) >= 3:
-            valid_any[i] = True
-            j_last = np.flatnonzero(row_mask)[-1]
-            j_best = int(np.argmax(betas[i]))
-            row_best[i] = betas[i, j_best]
-            if j_best >= j_last - 1:
-                edge_flag[i] = True
+    # each row's mask is a suffix of the increasing trigger grid, so its
+    # last candidate is the grid's last node
+    valid_any = np.count_nonzero(mask, axis=1) >= 3
+    j_best = np.argmax(betas, axis=1)
+    row_best = np.where(valid_any, betas[np.arange(a_vec.size), j_best],
+                        -np.inf)
+    edge_flag = valid_any & (j_best >= bs.size - 2)
 
     def beta_lanes(b, idx):
         lane = rows[idx]
@@ -210,7 +210,7 @@ def _stage_roots(ctx, a_vec, workspace=None):
     if rows.size:
         lo_b = bs[np.maximum(cols - 1, 0)]
         hi_b = bs[np.minimum(cols + 1, bs.size - 1)]
-        xtol = opts.x_tol * np.maximum(1.0, np.abs(bs[cols]))
+        xtol = X_TOL * np.maximum(1.0, np.abs(bs[cols]))
         b_ref, beta_ref = golden_max_lanes(beta_lanes, lo_b, hi_b, xtol)
         for k in range(rows.size):
             roots[rows[k]].append((float(b_ref[k]), float(beta_ref[k])))
@@ -221,7 +221,7 @@ def _stage_roots(ctx, a_vec, workspace=None):
         out = []
         for b_star, beta_star in rs:
             if out and abs(b_star - out[-1][0]) \
-                    <= 50 * opts.x_tol * max(1.0, abs(b_star)):
+                    <= 50 * X_TOL * max(1.0, abs(b_star)):
                 if beta_star > out[-1][1]:
                     out[-1] = (b_star, beta_star)
             else:
@@ -368,7 +368,6 @@ def _interior_best(roots, edge, valid):
 
 def scan_slopes(ctx, workspace=None):
     """beta(a) over the target grid plus the refined band policy."""
-    opts = ctx.options
     ws = workspace or _ScanWorkspace(ctx)
     targets = _target_grid(ctx)
 
@@ -396,24 +395,17 @@ def scan_slopes(ctx, workspace=None):
             no_intervention=True, warnings=tuple(warnings))
 
     # local maxima of beta(a), refined in lockstep
-    vidx = np.flatnonzero(finite)
-    bs = betas[vidx]
-    lanes_lo, lanes_hi, seeds = [], [], []
-    for pos, i in enumerate(vidx):
-        left = bs[pos - 1] if pos > 0 else -math.inf
-        right = bs[pos + 1] if pos + 1 < vidx.size else -math.inf
-        if bs[pos] >= left and bs[pos] >= right:
-            lanes_lo.append(targets[vidx[pos - 1]] if pos > 0 else targets[i])
-            lanes_hi.append(targets[vidx[pos + 1]]
-                            if pos + 1 < vidx.size else targets[i])
-            seeds.append(targets[i])
+    tv = targets[finite]
+    bv = betas[finite]
+    pad = np.concatenate([[-math.inf], bv, [-math.inf]])
+    pos = np.flatnonzero((bv >= pad[:-2]) & (bv >= pad[2:]))
+    lanes_lo = tv[np.maximum(pos - 1, 0)]
+    lanes_hi = tv[np.minimum(pos + 1, tv.size - 1)]
 
     def beta_at(a_arr, _idx):
         return _interior_best(*_stage_roots(ctx, a_arr, workspace=ws)[:3])
 
-    lanes_lo = np.asarray(lanes_lo)
-    lanes_hi = np.asarray(lanes_hi)
-    xtol = opts.a_refine_tol * np.maximum(1.0, np.abs(np.asarray(seeds)))
+    xtol = A_REFINE_TOL * np.maximum(1.0, np.abs(tv[pos]))
     a_ref, beta_ref = golden_max_lanes(beta_at, lanes_lo, lanes_hi, xtol)
 
     keep = np.isfinite(beta_ref) & (beta_ref > 0.0)
@@ -427,7 +419,7 @@ def scan_slopes(ctx, workspace=None):
             "edge beats the interior optimum; enlarge x_max")
     order = np.argsort(a_ref)
     chosen = [(float(a_ref[i]), float(beta_ref[i])) for i in order
-              if beta_ref[i] >= beta_best * (1.0 - opts.band_tie_rel)]
+              if beta_ref[i] >= beta_best * (1.0 - BAND_TIE_REL)]
 
     span = ctx.window[1] - ctx.window[0]
     stages = []

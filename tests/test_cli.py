@@ -92,6 +92,32 @@ def _run_module(tmp_path, text):
         capture_output=True, text=True, env=env, timeout=300)
 
 
+@pytest.mark.parametrize("section, key, line, bad", [
+    ("solver", "x_max", "x_max = 15", 'x_max = "abc"'),
+    ("diffusion", "alpha", "alpha = 0.2", 'alpha = "abc"'),
+    ("diffusion", "lo", "lo = -inf", 'lo = "zero"'),
+    ("solver", "scan_points", "x_max = 15",
+     "x_max = 15\nscan_points = 200.7"),
+])
+def test_malformed_number_exit_1(tmp_path, section, key, line, bad):
+    text = read_config("bm_quadratic_cost.cfg")
+    assert line in text
+    run = _run_module(tmp_path, text.replace(line, bad))
+    assert run.returncode == 1
+    assert f"config error: [{section}] {key} must be" in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("key", ["x_tol", "a_refine_tol", "band_tie_rel",
+                                 "oracle_max_iter", "gamma_rel_tol"])
+def test_removed_solver_key_exit_1(tmp_path, capsys, key):
+    text = read_config("bm_quadratic_cost.cfg").replace(
+        "x_max = 15", f"x_max = 15\n{key} = 1")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["solve", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"unknown [solver] option {key!r}" in capsys.readouterr().err
+
+
 def test_vanishing_volatility_exit_2(tmp_path):
     # CIR volatility sigma*sqrt(x) vanishes at the natural end lo = 0, where
     # the numeric pair's integration starts
@@ -226,6 +252,20 @@ def test_check_passes_on_multiband_config(tmp_path, capsys):
     cfg = str(CONFIG_DIR / "bm_sine_multiband.cfg")
     assert main(["check", cfg, "--out", str(tmp_path / "chk")]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("check", "--tol", "1e-3"), ("check", "--seed", "1"),
+    ("solve", "--tol", "1e-3"), ("solve", "--seed", "1"),
+    ("iterate", "--seed", "1"),
+    ("simulate", "--grid", "400"), ("simulate", "--tol", "1e-3"),
+])
+def test_flags_rejected_where_not_read(capsys, command, flag, value):
+    # check's oracle run sets its own tolerance; only simulate draws samples
+    with pytest.raises(SystemExit) as ex:
+        main([command, BM, flag, value])
+    assert ex.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -81,6 +81,24 @@ def test_gamma_map_single_sign_change(bm_ctx):
     assert int(np.sum(np.diff(signs) != 0)) == 1
 
 
+def test_sign_change_check_reports_solver_errors_only(bm_ctx, monkeypatch):
+    from impulse_bands import checks, solver
+
+    def fails(exc):
+        def solve_gamma(*args, **kwargs):
+            raise exc
+        return solve_gamma
+
+    monkeypatch.setattr(solver, "solve_gamma", fails(SolverError("no root")))
+    res = checks.check_gamma_sign_change(bm_ctx, [4.0, 5.0])
+    assert not res.passed
+    assert "solve failed" in res.detail
+
+    monkeypatch.setattr(solver, "solve_gamma", fails(TypeError("bug")))
+    with pytest.raises(TypeError, match="bug"):
+        checks.check_gamma_sign_change(bm_ctx, [4.0, 5.0])
+
+
 def _reference_stopping_value(ctx, a, gamma, grid):
     """The full pinned concave envelope of the shifted reward over the stop
     states, read at F(a): the reference for the closed form."""
