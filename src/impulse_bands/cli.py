@@ -184,6 +184,7 @@ def cmd_iterate(args):
         ("nodes", og.ys.size),
         ("iterations", og.n_iter),
         ("final_sup_change", og.sup_change),
+        ("final_residual", og.residual),
         ("converged", og.converged),
         ("triggers", list(og.triggers)),
         ("runtime_s", f"{t_it:.3f}"),

@@ -103,13 +103,15 @@ def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
     inv_p = 1.0 / p
 
     def panels(a, b):
-        # kronrod sums and error estimates, shape (panels, z)
+        # kronrod sums and error estimates, shape (panels, z); an overflow
+        # makes a NaN error, which ends in the panel cap's ImpulseError
         half = 0.5 * (b - a)
         t = (a[:, None] + half[:, None] * (_XK + 1.0)) ** inv_p
-        g = np.exp(-(t * t)[:, :, None] - 2.0 * t[:, :, None] * zs)
-        k15 = half[:, None] * (_WK @ g)
-        g7 = half[:, None] * (_WG @ g[:, _GAUSS_IDX])
-        return k15, np.abs(k15 - g7)
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.exp(-(t * t)[:, :, None] - 2.0 * t[:, :, None] * zs)
+            k15 = half[:, None] * (_WK @ g)
+            g7 = half[:, None] * (_WG @ g[:, _GAUSS_IDX])
+            return k15, np.abs(k15 - g7)
 
     # initial breakpoints: geometric cluster at 0 plus the global mode
     brk = {0.0, u_max}

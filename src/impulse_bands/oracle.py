@@ -15,9 +15,12 @@ between the two is a genuine cross-check.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
 from .errors import OracleError
 from .transform import finiteness_check
@@ -81,6 +84,7 @@ class OracleGrid:
     pin: tuple              # (F_lo, D)
     n_iter: int = 0
     sup_change: float = math.inf
+    residual: float = math.inf
     converged: bool = False
     history: tuple = ()
     triggers: tuple = ()
@@ -153,29 +157,94 @@ class _Workspace:
             self.to_ruin = None
 
 
-def intervention_operator(ctx, grid, values=None, workspace=None):
+def intervention_operator(ctx, grid, values=None, workspace=None, *,
+                          targets=False):
     """(M u)/phi at every grid state, maximizing over grid targets.
 
     ``values`` are transformed (Phi); conversion to and from the actual
-    excess u = phi * Phi happens here.  O(N^2) exact maximization.
+    excess u = phi * Phi happens here.  O(N^2) exact maximization.  With
+    ``targets=True`` it also returns each state's maximizing target index,
+    or -1 where the ruin payoff is strictly best.
     """
     values = grid.values if values is None else values
     ws = workspace or _Workspace(ctx, grid.xs, grid.ys)
     u = ws.phi * values
     cand = ws.kbar + u[None, :]
-    best = np.max(cand, axis=1)
+    target = np.argmax(cand, axis=1)
+    best = np.take_along_axis(cand, target[:, None], axis=1)[:, 0]
     if ws.to_ruin is not None:
+        target[ws.to_ruin > best] = -1
         best = np.maximum(best, ws.to_ruin)
+    if targets:
+        return best / ws.phi, target
     return best / ws.phi
+
+
+def _policy_value(ws, ys, pin, env, m_phi, target):
+    """Transformed value of the policy read off one sweep, or None.
+
+    Contact nodes are those up to the envelope's peak where the envelope
+    equals M Phi exactly (so M Phi is finite there).  Each keeps its
+    Bellman row with the sweep's target, or its ruin payoff; every other
+    node up to the last contact is the linear interpolation in y of its
+    neighbouring contacts, or of the pin; nodes past the last contact
+    equal it.  The unknowns are the node values and the pin.  None when
+    there is no contact or the solve is singular or not finite.
+    """
+    n = ys.size
+    peak = int(np.argmax(env))
+    contact = np.flatnonzero(env[:peak + 1] == m_phi[:peak + 1])
+    if contact.size == 0:
+        return None
+    last = int(contact[-1])
+    yy = np.append(ys, pin[0])
+    anchors = np.append(n, contact)         # the pin, then the contacts
+    between = np.ones(n, dtype=bool)
+    between[contact] = False
+    between[last:] = False
+    inner = np.flatnonzero(between)
+    pos = np.searchsorted(contact, inner)
+    left, right = anchors[pos], contact[pos]
+    # a node at or left of the pin takes its value, as in pinned_envelope
+    w = np.clip((ys[inner] - yy[left]) / (yy[right] - yy[left]), 0.0, 1.0)
+    tail = np.arange(last + 1, n)
+    jump = contact[target[contact] >= 0]
+    ruin = contact[target[contact] < 0]
+    to = target[jump]
+
+    rows = np.concatenate([np.arange(n + 1), inner, inner, tail, jump])
+    cols = np.concatenate([np.arange(n + 1), left, right,
+                           np.full(tail.size, last), to])
+    vals = np.concatenate([np.ones(n + 1), w - 1.0, -w, -np.ones(tail.size),
+                           -ws.phi[to] / ws.phi[jump]])
+    rhs = np.zeros(n + 1)
+    rhs[n] = pin[1]
+    rhs[jump] = ws.kbar[jump, to] / ws.phi[jump]
+    if ruin.size:
+        rhs[ruin] = ws.to_ruin[ruin] / ws.phi[ruin]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # a singular matrix warns
+        sol = spsolve(csc_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)),
+                      rhs)
+    if not np.all(np.isfinite(sol)):
+        return None
+    return sol[:n]
 
 
 def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
                     keep_iterates=0):
     """Iterate envelope(M Phi) from the no-intervention start to a fixpoint.
 
-    Stops after ``n_max`` sweeps or once the sup-change is at most ``tol``.
-    Returns a converged :class:`OracleGrid` carrying the trigger nodes where
-    the envelope touches the intervention value.  Raises OracleError if the
+    Each step is one sweep Phi -> max(envelope(M Phi), floor); from the
+    second step on, the policy read off the sweep is then evaluated by one
+    sparse solve (modified policy iteration) and the iterate becomes the
+    elementwise max of the sweep and that value.  The fixed-policy operator
+    is monotone and never exceeds the sweep operator, so the iterates still
+    increase to the same fixpoint.  Stops after ``n_max`` steps or once a
+    sweep changes the iterate by at most ``tol``; ``history`` holds the
+    sweep changes and ``residual`` the sup-residual of the returned values.
+    Returns an :class:`OracleGrid` carrying the trigger nodes where the
+    envelope touches the intervention value.  Raises OracleError if the
     problem fails the finiteness screen.
     """
     tol = tol or ctx.options.oracle_tol
@@ -187,7 +256,8 @@ def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
         raise OracleError("finiteness screen failed: unbounded value")
 
     pin = (ctx.F_lo, ctx.D)
-    phi0 = np.full(xs.shape, ctx.D if ctx.absorbing else 0.0)
+    floor = ctx.D if ctx.absorbing else 0.0
+    phi0 = np.full(xs.shape, floor)
     grid = OracleGrid(ys=ys, xs=xs, values=phi0, pin=pin)
     ws = _Workspace(ctx, xs, ys)
 
@@ -195,12 +265,16 @@ def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
     min_inc = []
     iterates = []
     values = phi0
-    env_m = values
     for it in range(1, n_max + 1):
-        m_phi = intervention_operator(ctx, grid, values, workspace=ws)
+        m_phi, target = intervention_operator(ctx, grid, values, workspace=ws,
+                                              targets=True)
         env_m, _ = pinned_envelope(ys, m_phi, pin)
-        new = np.maximum(env_m, ctx.D if ctx.absorbing else 0.0)
+        new = np.maximum(env_m, floor)
         change = float(np.max(np.abs(new - values)))
+        if it > 1 and change > tol:
+            policy = _policy_value(ws, ys, pin, env_m, m_phi, target)
+            if policy is not None:
+                new = np.maximum(new, policy)
         min_inc.append(float(np.min(new - values)))
         history.append(change)
         values = new
@@ -219,10 +293,12 @@ def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
     # tangency that landed between nodes); shallow interior holes at the
     # grid's own discretization-error level are then closed
     m_phi = intervention_operator(ctx, grid, values, workspace=ws)
+    env_m, _ = pinned_envelope(ys, m_phi, pin)
+    grid.residual = float(np.max(np.abs(np.maximum(env_m, floor) - values)))
     finite = np.isfinite(m_phi)
     gap = np.where(finite, values - m_phi, np.inf)
     local = np.where(finite, np.abs(values) + np.abs(m_phi), 0.0)
-    base = 8.0 * max(tol, grid.sup_change) + 1e-9 * local
+    base = 8.0 * grid.residual + 1e-9 * local
     contact = finite & (gap <= base)
 
     g_prev, g_next = np.roll(gap, 1), np.roll(gap, -1)

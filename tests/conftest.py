@@ -5,7 +5,9 @@ import pytest
 from impulse_bands import (assemble_value, build_context, load_config,
                            scan_slopes)
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+STATEVOL_CFG = ROOT / "benchmark" / "configs" / "statevol_reserve.cfg"
 
 
 def read_config(name):
@@ -60,6 +62,17 @@ def sine_ctx(sine_cfg):
 @pytest.fixture(scope="session")
 def sine_scan(sine_ctx):
     return scan_slopes(sine_ctx)
+
+
+@pytest.fixture(scope="session")
+def statevol_ctx():
+    cfg = load_config(STATEVOL_CFG.read_text())
+    return build_context(cfg.problem, cfg.solver)
+
+
+@pytest.fixture(scope="session")
+def statevol_scan(statevol_ctx):
+    return scan_slopes(statevol_ctx)
 
 
 NO_INTERVENTION_CONFIG = """

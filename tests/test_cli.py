@@ -142,6 +142,18 @@ def test_vanishing_volatility_at_absorbing_end_exit_1(tmp_path):
     assert "Traceback" not in run.stderr
 
 
+def test_quadrature_overflow_exit_2(tmp_path):
+    # without x_max the OU window reaches past where the Hermite quadrature
+    # overflows; the NaN ends in a typed error, not a RuntimeWarning
+    text = read_config("ou_dividend.cfg").replace("x_max = 2.5\n", "")
+    assert "x_max" not in text
+    run = _run_module(tmp_path, text)
+    assert run.returncode == 2
+    assert "solver error" in run.stderr
+    assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
 CONSTANT_NEGATIVE_DRIFT = """
 [diffusion]
 drift = "-0.2"
@@ -182,6 +194,10 @@ def test_iterate_outputs(tmp_path):
     assert min(abs(trig[:, 0] - 12.261)) < 0.1
     assert (out / "oracle_grid.csv").exists()
     assert (out / "iterates.csv").exists()
+    report = dict(line.split(" = ", 1) for line in
+                  (out / "report.txt").read_text().splitlines()
+                  if " = " in line)
+    assert float(report["final_residual"]) <= 1e-6
 
 
 def test_iterate_rerun_identical(tmp_path):

@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import spsolve
 
-from impulse_bands import OracleError, concave_envelope, value_iteration
+from impulse_bands import (OracleError, concave_envelope, oracle,
+                           value_iteration)
 from impulse_bands.checks import _brute_force_envelope
 from impulse_bands.oracle import (_Workspace, intervention_operator,
                                   make_grid, pinned_envelope)
@@ -182,12 +186,70 @@ def test_no_intervention_iteration(no_intervention_ctx):
     np.testing.assert_allclose(og.values, 0.0, atol=1e-12)
 
 
-def test_triggers_bracket_direct_solution(bm_ctx, bm_scan):
-    og = value_iteration(bm_ctx, n_nodes=1000, n_max=60, tol=1e-6)
-    b_star = bm_scan.policy.bands[0][1]
-    i = np.searchsorted(og.xs, b_star)
-    cell = og.xs[min(i + 1, og.xs.size - 1)] - og.xs[i - 1]
-    assert min(abs(t - b_star) for t in og.triggers) <= cell
+def test_triggers_bracket_direct_solution(request):
+    for name in ("bm", "ou", "statevol"):
+        ctx = request.getfixturevalue(f"{name}_ctx")
+        scan = request.getfixturevalue(f"{name}_scan")
+        og = value_iteration(ctx, n_nodes=1000, n_max=60, tol=1e-6)
+        b_star = scan.policy.bands[0][1]
+        i = np.searchsorted(og.xs, b_star)
+        cell = og.xs[min(i + 1, og.xs.size - 1)] - og.xs[i - 1]
+        assert min(abs(t - b_star) for t in og.triggers) <= cell, name
+
+
+def _reference_value_iteration(ctx, n_max=500, tol=None, x_max=None):
+    """Plain sweeps Phi <- max(floor, pinned_envelope(M Phi)) to a fixpoint.
+
+    Returns the final values and the sup-change of every sweep.
+    """
+    tol = tol or ctx.options.oracle_tol
+    xs, ys = make_grid(ctx, x_max=x_max)
+    ws = _Workspace(ctx, xs, ys)
+    pin = (ctx.F_lo, ctx.D)
+    floor = ctx.D if ctx.absorbing else 0.0
+    values = np.full(xs.shape, floor)
+    history = []
+    for _ in range(n_max):
+        m_phi = intervention_operator(ctx, None, values, workspace=ws)
+        new = np.maximum(pinned_envelope(ys, m_phi, pin)[0], floor)
+        history.append(float(np.max(np.abs(new - values))))
+        values = new
+        if history[-1] <= tol:
+            break
+    return values, history
+
+
+@pytest.mark.parametrize("name", ["bm", "ou", "sine", "statevol"])
+def test_policy_steps_reach_sweep_fixpoint(name, request, monkeypatch):
+    ctx = request.getfixturevalue(f"{name}_ctx")
+    x_max = ctx.options.oracle_x_max
+    og = value_iteration(ctx, x_max=x_max, keep_iterates=1)
+    exact, _ = _reference_value_iteration(ctx, n_max=5000, tol=1e-12,
+                                          x_max=x_max)
+    scale = 1.0 + float(np.max(np.abs(exact)))
+    assert og.converged and og.n_iter <= 12
+    assert float(np.max(np.abs(og.values - exact))) <= 1e-9 * scale
+    assert min(og.min_increments) >= -1e-9 * scale
+    assert og.residual <= ctx.options.oracle_tol
+    # every step's iterate dominates the plain sweep of the one before
+    ws = _Workspace(ctx, og.xs, og.ys)
+    floor = ctx.D if ctx.absorbing else 0.0
+    before = np.full(og.xs.shape, floor)
+    for _, after in og.iterates:
+        m_phi = intervention_operator(ctx, None, before, workspace=ws)
+        sweep = np.maximum(pinned_envelope(og.ys, m_phi, og.pin)[0], floor)
+        assert np.all(after >= sweep)
+        before = after
+
+    # a singular solve leaves every step a plain sweep, silently
+    monkeypatch.setattr(oracle, "spsolve",
+                        lambda a, b: spsolve(csc_matrix(a.shape), b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        swept = value_iteration(ctx, x_max=x_max)
+    values, history = _reference_value_iteration(ctx, x_max=x_max)
+    np.testing.assert_array_equal(swept.values, values)
+    assert list(swept.history) == history
 
 
 @pytest.mark.slow

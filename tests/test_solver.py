@@ -1,17 +1,13 @@
 import math
-import pathlib
 
 import numpy as np
 import pytest
 
 from impulse_bands import (NoIntervention, SolverError, assemble_value,
-                           build_context, load_config, maximize_slope,
-                           smooth_fit_check, solve_gamma, tangency_solve)
+                           maximize_slope, smooth_fit_check, solve_gamma,
+                           tangency_solve)
 from impulse_bands.oracle import pinned_envelope
 from impulse_bands.solver import _target_grid, stopping_grid, stopping_value
-
-STATEVOL_CFG = pathlib.Path(__file__).resolve().parent.parent \
-    / "benchmark" / "configs" / "statevol_reserve.cfg"
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +142,6 @@ def _reference_solve_gamma(ctx, a, grid, rel=1e-8):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-@pytest.fixture(scope="module")
-def statevol_ctx():
-    cfg = load_config(STATEVOL_CFG.read_text())
-    return build_context(cfg.problem, cfg.solver)
 
 
 @pytest.mark.parametrize(
