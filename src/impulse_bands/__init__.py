@@ -15,11 +15,9 @@ from .oracle import OracleGrid, concave_envelope, value_iteration
 from .simulate import (DominanceReport, SimConfig, SimResult,
                        policy_dominance, simulate_policy)
 from .solver import (NoIntervention, SlopeScan, StageResult,
-                     ValueFunctionRep, assemble_value, maximize_slope,
-                     scan_slopes, smooth_fit_check, solve_gamma,
-                     tangency_solve)
+                     ValueFunctionRep, assemble_value, scan_slopes,
+                     smooth_fit_check, solve_gamma, tangency_solve)
 from .transform import (TransformContext, boundary_data, build_context,
-                        compute_g, concavity_profile, finiteness_check,
-                        transformed_reward)
+                        compute_g, concavity_profile, finiteness_check)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

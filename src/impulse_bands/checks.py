@@ -29,13 +29,6 @@ class PropertyCheck:
     detail: str
 
 
-def _sample_ys(ctx, rng, shape):
-    """F at uniform states of the solved range, sorted along the last axis."""
-    x_lo, x_hi = ctx.solved_lo, ctx.window[1]
-    xs = rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi, shape)
-    return np.sort(np.asarray(ctx.pair.F(xs), dtype=float))
-
-
 def _excess(ctx, vrep, xs):
     """The transformed excess value W = (v - g)/phi at the states xs."""
     return (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
@@ -45,11 +38,14 @@ def _excess(ctx, vrep, xs):
 def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
     """Transformed excess value lies above its chords."""
     rng = np.random.default_rng(seed)
-    ys = _sample_ys(ctx, rng, (n_triples, 3))
-    ys = ys[ys[:, 2] - ys[:, 0] >= 1e-9 * (1 + np.abs(ys[:, 2]))]
+    x_lo, x_hi = ctx.solved_lo, ctx.window[1]
+    xs = np.sort(rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi,
+                             (n_triples, 3)))
+    ys = np.asarray(ctx.pair.F(xs), dtype=float)
+    wide = ys[:, 2] - ys[:, 0] >= 1e-9 * (1 + np.abs(ys[:, 2]))
+    xs, ys = xs[wide], ys[wide]
     y1, y2, y3 = ys.T
-    w1, w2, w3 = _excess(ctx, vrep, ctx.pair.F_inv(ys.ravel())) \
-        .reshape(ys.shape).T
+    w1, w2, w3 = _excess(ctx, vrep, xs).T
     chord = w1 + (w3 - w1) * (y2 - y1) / (y3 - y1)
     worst = float(np.max(chord - w2, initial=-math.inf))
     ok = worst <= tol
@@ -59,7 +55,7 @@ def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
 
 
 def check_linearity(ctx, vrep, tol=1e-9, n=200):
-    """(v-g)/phi o F^-1 is a straight line on the continuation region."""
+    """(v-g)/phi is a straight line in F on the continuation region."""
     if vrep.policy.is_empty:
         return PropertyCheck("continuation_linearity", True, "empty policy")
     b_top = vrep.policy.bands[-1][1]

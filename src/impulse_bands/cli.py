@@ -199,7 +199,7 @@ def cmd_iterate(args):
     return 0
 
 
-def _policy_from_args(args, out):
+def _policy_from_args(args):
     if args.policy:
         data = json.loads(Path(args.policy).read_text())
         return BandPolicy.from_dict(data)
@@ -217,7 +217,7 @@ def cmd_simulate(args):
     cfg, solver, text = _load(args)
     out = _out_dir(args)
     ctx = build_context(cfg.problem, solver)
-    policy = _policy_from_args(args, out)
+    policy = _policy_from_args(args)
 
     x0s = [float(v) for v in args.x0.split(",")]
     rows = []

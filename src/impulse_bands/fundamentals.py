@@ -22,7 +22,7 @@ each branch once in the direction where it dominates, on the state
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -268,8 +268,10 @@ class FundamentalPair:
 
     Immutable and pure; safe to share between workers.  ``F_limit_lo`` is
     the limit of F at the left state boundary when known in closed form
-    (0 at a natural boundary reached by decaying psi).  ``window`` brackets
-    numeric inversion of F.
+    (0 at a natural boundary reached by decaying psi).  ``window`` is the
+    interval the pair was built on: the range of the OU table, or the
+    integration range of the numeric pair, which raises outside it.  The
+    boundary probes march no further than its finite ends.
     """
 
     psi: object
@@ -280,39 +282,9 @@ class FundamentalPair:
     provenance: str
     window: tuple
     F_limit_lo: float | None = None
-    _F_inv_analytic: object = field(default=None, repr=False)
 
     def F(self, x):
         return self.psi(x) / self.phi(x)
-
-    def F_inv(self, y, xtol=1e-10):
-        """x in the window with F(x) = y, elementwise.
-
-        Closed form when the catalog provides one, otherwise one lockstep
-        bisection over the whole array, to xtol * max(1, |window ends|).
-        """
-        if self._F_inv_analytic is not None:
-            return self._F_inv_analytic(y)
-        return scalar_or_array(self._bisect_F, y, xtol)
-
-    def _bisect_F(self, ys, xtol):
-        lo, hi = self.window
-        outside = ~((ys >= self.F(lo)) & (ys <= self.F(hi)))
-        if np.any(outside):
-            raise ImpulseError(
-                f"F_inv target {ys[outside].flat[0]} outside F range on "
-                f"window {self.window}")
-        tol = xtol * max(1.0, abs(hi), abs(lo))
-        a = np.full(ys.shape, float(lo))
-        b = np.full(ys.shape, float(hi))
-        width = hi - lo
-        while width > tol:
-            mid = 0.5 * (a + b)
-            below = self.F(mid) < ys
-            a = np.where(below, mid, a)
-            b = np.where(below, b, mid)
-            width *= 0.5
-        return 0.5 * (a + b)
 
     def wronskian(self, x):
         """psi' phi - psi phi', positive iff F is increasing."""
@@ -372,7 +344,6 @@ def _bm_pair(spec):
         dpsi=lambda x: s * psi(x), dphi=lambda x: -s * phi(x),
         anchor=0.0, provenance="analytic_bm",
         window=(lo, hi), F_limit_lo=F_lo,
-        _F_inv_analytic=lambda y: np.log(y) / (2.0 * s),
     )
 
 
@@ -389,7 +360,6 @@ def _bm_zero_rate_pair(spec):
         dphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         anchor=lo + 1.0, provenance="analytic_bm_zero_rate",
         window=(lo, math.inf), F_limit_lo=0.0,
-        _F_inv_analytic=lambda y: np.asarray(y, dtype=float) + lo,
     )
 
 

@@ -57,7 +57,6 @@ class DiffusionSpec:
     lo: float = -math.inf
     hi: float = math.inf
     boundary: str = NATURAL
-    penalty: float = 0.0
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -345,7 +344,6 @@ def load_config(text):
         lo=_number(diff.get("lo", -math.inf), "lo", "diffusion"),
         hi=_number(diff.get("hi", math.inf), "hi", "diffusion"),
         boundary=str(boundary),
-        penalty=_number(diff.get("penalty", 0.0), "penalty", "diffusion"),
     )
 
     f_text = _require(reward, "f", "reward")
@@ -363,7 +361,7 @@ def load_config(text):
         diffusion=spec,
         running_reward=parse_expr(f_text, ("x",), params),
         intervention_reward=parse_expr(k_text, ("x", "y"), params),
-        ruin_penalty=float(spec.penalty),
+        ruin_penalty=_number(diff.get("penalty", 0.0), "penalty", "diffusion"),
     )
 
     solver_section = dict(sections.get("solver", {}))

@@ -151,10 +151,11 @@ class _ScanWorkspace:
 
 
 def _chord_terms(ctx, x):
-    """(phi, eta, g) at x: the pair terms of the chord slope at one end."""
-    return (np.asarray(ctx.pair.phi(x), dtype=float),
-            np.asarray(ctx.eta(x), dtype=float),
-            np.asarray(ctx.g(x), dtype=float))
+    """(phi, eta, g) at x: the pair terms of the chord slope at one end,
+    with eta = psi - F_lo phi."""
+    phi = np.asarray(ctx.pair.phi(x), dtype=float)
+    eta = np.asarray(ctx.pair.psi(x) - ctx.F_lo * phi, dtype=float)
+    return phi, eta, np.asarray(ctx.g(x), dtype=float)
 
 
 def _chord_slope(ctx, b, a, at_b, at_a):
@@ -366,9 +367,9 @@ def _interior_best(roots, edge, valid):
                      for r, e, v in zip(roots, edge, valid)])
 
 
-def scan_slopes(ctx, workspace=None):
+def scan_slopes(ctx):
     """beta(a) over the target grid plus the refined band policy."""
-    ws = workspace or _ScanWorkspace(ctx)
+    ws = _ScanWorkspace(ctx)
     targets = _target_grid(ctx)
 
     warnings = []
@@ -462,11 +463,6 @@ def scan_slopes(ctx, workspace=None):
     return SlopeScan(
         policy=policy, stages=tuple(stages), scan_a=targets, scan_beta=betas,
         no_intervention=False, warnings=tuple(warnings))
-
-
-def maximize_slope(ctx):
-    """Best common-slope band policy (possibly empty: never intervene)."""
-    return scan_slopes(ctx).policy
 
 
 def assemble_value(ctx, policy):

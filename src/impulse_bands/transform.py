@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ImpulseError, SolverError
 from .fundamentals import FundamentalPair, fundamentals_for
 from .model import ImpulseProblem, SolverOptions, resolve_window
-from .numerics import fd_step, scalar_or_array
+from .numerics import fd_step
 
 _PROBE_COUNT = 12
 _PROBE_RATIO = 2.0
@@ -74,11 +74,8 @@ class TransformContext:
         xs = np.asarray(x, dtype=float)
         return self.kbar(xs, np.minimum(xs, float(a)))
 
-    def eta(self, x):
-        """phi(x) * (F(x) - F_lo); increasing, vanishing at the boundary."""
-        return self.pair.psi(x) - self.F_lo * self.pair.phi(x)
-
     def deta(self, x):
+        """Derivative of eta = psi - F_lo phi = phi (F - F_lo)."""
         return self.pair.dpsi(x) - self.F_lo * self.pair.dphi(x)
 
     def line(self, y, beta):
@@ -176,18 +173,21 @@ def compute_g(problem, pair, window, n_grid=8001):
 
     psi_v = pair.psi(xs)
     phi_v = pair.phi(xs)
-    w = (pair.dpsi(xs) * phi_v - psi_v * pair.dphi(xs)) / s_density
-    w_const = float(np.median(w))
-    if not np.isfinite(w_const) or w_const <= 0:
-        raise ImpulseError("degenerate Wronskian in resolvent computation")
-
     cum_lower = cumulative_simpson(psi_v * fv * m_density, x=xs, initial=0.0)
     total_upper = cumulative_simpson(phi_v * fv * m_density, x=xs,
                                      initial=0.0)
     cum_upper = total_upper[-1] - total_upper
 
+    # read after the sums, so the derivatives are not held through them
+    dpsi_v = pair.dpsi(xs)
+    dphi_v = pair.dphi(xs)
+    w = (dpsi_v * phi_v - psi_v * dphi_v) / s_density
+    w_const = float(np.median(w))
+    if not np.isfinite(w_const) or w_const <= 0:
+        raise ImpulseError("degenerate Wronskian in resolvent computation")
+
     g_grid = (phi_v * cum_lower + psi_v * cum_upper) / w_const
-    dg_grid = (pair.dphi(xs) * cum_lower + pair.dpsi(xs) * cum_upper) / w_const
+    dg_grid = (dphi_v * cum_lower + dpsi_v * cum_upper) / w_const
 
     def g(x):
         return np.interp(np.asarray(x, dtype=float), xs, g_grid)
@@ -295,30 +295,8 @@ def build_context(problem, options=None, pair=None):
 
 
 # ---------------------------------------------------------------------------
-# Transformed reward and diagnostics
+# Diagnostics
 # ---------------------------------------------------------------------------
-
-def transformed_reward(ctx, a):
-    """R(., a): the shifted reward read in the transformed coordinate.
-
-    R(y, a) = kbar(F^-1(y), a) / phi(F^-1(y)) for states above the target;
-    below the target, where a downward jump to ``a`` is not available, the
-    reward is continued with its diagonal value K(x, x) (the pure fixed
-    cost), which keeps R well defined without creating stopping incentives.
-    In absorbing mode R is pinned to D at y = F(lo).
-    """
-    pair = ctx.pair
-    a = float(a)
-
-    def R(ys):
-        out = np.full(ys.shape, float(ctx.D))
-        free = ~((ys == ctx.F_lo) & ctx.absorbing)
-        x = pair.F_inv(ys[free])
-        out[free] = ctx.kbar_extended(x, a) / pair.phi(x)
-        return out
-
-    return lambda y: scalar_or_array(R, y)
-
 
 @dataclass(frozen=True)
 class ConcavityProfile:
@@ -430,7 +408,7 @@ def _right_probes(ctx, a):
 
 
 def finiteness_check(ctx, a):
-    """Estimate the limiting slope of (kbar/phi) o F^-1 at the right edge.
+    """Estimate the limiting slope of kbar/phi against F at the right edge.
 
     The value function is finite iff this left-difference-quotient limsup
     stays bounded; infinity is declared when the probe slopes grow without

@@ -101,7 +101,6 @@ def test_bm_pair_values():
     assert pair.phi(0.0) == pytest.approx(1.0)
     assert pair.F(1.0) == pytest.approx(math.exp(2 * s), rel=1e-12)
     assert pair.F(1.0) == pytest.approx(3.5427, rel=1e-4)
-    assert pair.F_inv(pair.F(1.7)) == pytest.approx(1.7, rel=1e-12)
 
 
 def test_ou_pair_monotone():
@@ -333,19 +332,6 @@ def test_numeric_ode_residual(numeric_bm_pair):
                          np.linspace(-8, 8, 33)) < 1e-6
 
 
-@pytest.mark.parametrize("which", ["ou", "numeric"])
-def test_F_inv_round_trip_on_arrays(which, numeric_bm_pair):
-    pair = analytic_fundamentals(ou_spec()) if which == "ou" \
-        else numeric_bm_pair
-    lo, hi = pair.window
-    xs = np.linspace(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo), 57)
-    back = pair.F_inv(pair.F(xs))
-    assert back.shape == xs.shape
-    assert np.max(np.abs(back - xs)) <= 1e-10 * max(1.0, abs(lo), abs(hi))
-    with pytest.raises(ImpulseError):
-        pair.F_inv(np.array([float(pair.F(xs[3])), 2.0 * float(pair.F(hi))]))
-
-
 def test_scalar_in_float_out_array_in_same_shape_out(numeric_bm_pair,
                                                      bm_vrep):
     pair = numeric_bm_pair
@@ -353,8 +339,8 @@ def test_scalar_in_float_out_array_in_same_shape_out(numeric_bm_pair,
     xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 6)
     b_top = bm_vrep.policy.bands[-1][1]
     xv = np.linspace(b_top - 3.0, b_top + 3.0, 6)  # both value pieces
-    for fn, arr in ((pair.psi, xs), (pair.F_inv, pair.F(xs)),
-                    (bm_vrep.value, xv), (bm_vrep.derivative, xv)):
+    for fn, arr in ((pair.psi, xs), (bm_vrep.value, xv),
+                    (bm_vrep.derivative, xv)):
         grid = arr.reshape(2, 3)
         out = fn(grid)
         assert isinstance(out, np.ndarray) and out.shape == grid.shape

@@ -4,7 +4,7 @@ import pytest
 
 from impulse_bands import (BandPolicy, ConfigError, ValidationError,
                            load_config, load_problem)
-from tests.conftest import read_config
+from tests.conftest import ROOT, read_config
 
 
 def test_example_bm_config_loads(bm_cfg):
@@ -23,6 +23,16 @@ def test_example_ou_config_loads(ou_cfg):
     assert d.vol(1.3) == pytest.approx(0.35)
     assert ou_cfg.problem.ruin_penalty == 0.0
     assert ou_cfg.solver.x_max == 2.5
+
+
+def test_readme_config_example_loads():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Config format", 1)[1].split("```")[1]
+    cfg = load_config(block)
+    assert cfg.problem.diffusion.boundary == "absorbing"
+    assert cfg.problem.ruin_penalty == 0.0
+    assert cfg.solver.x_max == 2.5
+    assert cfg.solver.oracle_nodes == 2000
 
 
 def test_zero_fixed_cost_rejected():

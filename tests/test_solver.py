@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from impulse_bands import (NoIntervention, SolverError, assemble_value,
-                           maximize_slope, smooth_fit_check, solve_gamma,
+                           scan_slopes, smooth_fit_check, solve_gamma,
                            tangency_solve)
+from impulse_bands.checks import check_f_concavity
 from impulse_bands.oracle import pinned_envelope
 from impulse_bands.solver import _target_grid, stopping_grid, stopping_value
 
@@ -217,7 +218,7 @@ def test_scan_finds_seventh_sine_band(sine_scan):
 
 
 def test_no_intervention_policy(no_intervention_ctx):
-    p = maximize_slope(no_intervention_ctx)
+    p = scan_slopes(no_intervention_ctx).policy
     assert p.is_empty
     assert p.slope == 0.0
     v = assemble_value(no_intervention_ctx, p)
@@ -302,6 +303,14 @@ def test_f_concavity_of_value(bm_ctx, bm_scan):
         w = [W(float(x)) for x in xs]
         chord = w[0] + (w[2] - w[0]) * (ys[1] - ys[0]) / (ys[2] - ys[0])
         assert w[1] >= chord - 1e-8
+
+
+def test_f_concavity_check_at_rounding_level(ou_ctx, ou_scan):
+    # the check reads F and the excess value at the sampled states
+    # themselves, so its chord excess is rounding error alone
+    vrep = assemble_value(ou_ctx, ou_scan.policy)
+    res = check_f_concavity(ou_ctx, vrep, tol=1e-14)
+    assert res.passed, res.detail
 
 
 def test_linearity_on_continuation(bm_ctx, bm_scan):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from impulse_bands import (SolverError, build_context, concavity_profile,
-                           finiteness_check, load_config, transformed_reward)
+                           finiteness_check, load_config)
 from impulse_bands.expressions import parse_expr
 from impulse_bands.model import (DiffusionSpec, ImpulseProblem, SolverOptions)
 from impulse_bands.simulate import SimConfig, simulate_policy
@@ -125,32 +125,16 @@ def test_kbar_diagonal_is_fixed_cost(bm_ctx):
 
 
 def test_transformed_reward_piecewise_form(bm_ctx):
-    # below the target the curve is -c sqrt(y)
+    # below the target the curve kbar_extended/phi is -c sqrt(F)
     a = 5.077
-    R = transformed_reward(bm_ctx, a)
-    Fa = float(bm_ctx.pair.F(a))
-    for y in (0.01 * Fa, 0.3 * Fa, 0.9 * Fa):
-        assert R(y) == pytest.approx(-150.0 * math.sqrt(y), rel=1e-9)
+    pair = bm_ctx.pair
+    xs = np.array([a - 3.64, a - 0.95, a - 0.083])
+    np.testing.assert_allclose(bm_ctx.kbar_extended(xs, a) / pair.phi(xs),
+                               -150.0 * np.sqrt(pair.F(xs)), rtol=1e-9)
     # at the target the shifted reward equals K(a,a)/phi(a)
     K = bm_ctx.problem.intervention_reward
-    assert R(Fa) == pytest.approx(
-        float(K(a, a)) / float(bm_ctx.pair.phi(a)), rel=1e-9)
-
-
-def test_transform_round_trip(bm_ctx):
-    rng = np.random.default_rng(2)
-    a = 5.077
-    R = transformed_reward(bm_ctx, a)
-    for _ in range(20):
-        x = rng.uniform(a, 14.0)
-        lhs = R(float(bm_ctx.pair.F(x)))
-        rhs = float(bm_ctx.kbar(x, a)) / float(bm_ctx.pair.phi(x))
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_transformed_reward_pinned_at_boundary(ou_ctx):
-    R = transformed_reward(ou_ctx, 0.22)
-    assert R(ou_ctx.F_lo) == ou_ctx.D
+    assert bm_ctx.kbar_extended(a, a) / pair.phi(a) == pytest.approx(
+        float(K(a, a)) / float(pair.phi(a)), rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
