@@ -63,10 +63,10 @@ def _load(args):
     text = Path(args.config).read_text()
     cfg = load_config(text)
     solver = cfg.solver
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         solver = replace(solver, oracle_nodes=args.grid,
                          scan_points=max(50, args.grid // 10))
-    if getattr(args, "tol", None):
+    if getattr(args, "tol", None) is not None:
         solver = replace(solver, oracle_tol=args.tol)
     return cfg, solver, text
 

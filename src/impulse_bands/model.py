@@ -165,6 +165,17 @@ class SolverOptions:
     normalization_point: float | None = None
     numeric_pair_tol: float = 1e-8
 
+    def __post_init__(self):
+        # config keys and command-line overrides (dataclasses.replace) both
+        # pass through here
+        if not self.oracle_nodes >= 2:
+            raise ConfigError(
+                f"oracle_nodes must be at least 2, got {self.oracle_nodes!r}")
+        if not (self.oracle_tol > 0 and math.isfinite(self.oracle_tol)):
+            raise ConfigError(
+                "oracle_tol must be a finite number > 0, "
+                f"got {self.oracle_tol!r}")
+
 
 # annotations are strings under the __future__ import
 _SOLVER_FIELD_TYPES = {

@@ -40,13 +40,16 @@ def concave_envelope(ys, values):
     if np.any(np.diff(ys) <= 0):
         raise OracleError("envelope abscissae must be strictly increasing")
 
+    # the chain runs on Python floats: the same IEEE double arithmetic as
+    # on numpy scalars, without their per-operation overhead
+    y, v = ys.tolist(), values.tolist()
     hull = [0]
     for i in range(1, n):
+        yi, vi = y[i], v[i]
         while len(hull) >= 2:
             j, k = hull[-2], hull[-1]
             # slope(j,k) <= slope(j,i) means k lies on/below the chord j-i
-            if (values[k] - values[j]) * (ys[i] - ys[j]) <= \
-                    (values[i] - values[j]) * (ys[k] - ys[j]):
+            if (v[k] - v[j]) * (yi - y[j]) <= (vi - v[j]) * (y[k] - y[j]):
                 hull.pop()
             else:
                 break
@@ -100,7 +103,8 @@ def make_grid(ctx, n_nodes=None, x_max=None):
     convex; the merged set serves both.
     """
     opts = ctx.options
-    n_nodes = n_nodes or opts.oracle_nodes
+    if n_nodes is None:
+        n_nodes = opts.oracle_nodes
     x_lo, x_hi = ctx.solved_lo, ctx.window[1]
     if x_max is not None:
         x_hi = min(x_hi, float(x_max))
@@ -129,32 +133,57 @@ def make_grid(ctx, n_nodes=None, x_max=None):
     return xs_all, ys_all
 
 
+BLOCK_ROWS = 256
+
+
 class _Workspace:
+    """The grid's jump rewards kbar(x_i, x_j), held as row blocks.
+
+    Only targets strictly below the state count (j < i), so rows are stored
+    in blocks of ``BLOCK_ROWS``: block [r0, r1) holds columns 0 .. r1 - 2,
+    the targets below its last row, with -inf on and above the diagonal.
+    That is about N^2/2 doubles for N nodes (16 MB at 2000 nodes), and the
+    -inf triangles inside the blocks add about N * BLOCK_ROWS / 2 more; no
+    N x N array is formed.
+    """
+
     def __init__(self, ctx, xs, ys):
         self.xs = xs
         self.ys = ys
         self.phi = np.asarray(ctx.pair.phi(xs), dtype=float)
-        K = ctx.problem.intervention_reward
+        self.K = ctx.problem.intervention_reward
         gx = np.asarray(ctx.g(xs), dtype=float)
-        gx = np.broadcast_to(gx, xs.shape)
-        xi = xs[:, None]
-        yj = xs[None, :]
-        # clamp to the diagonal so the reward expression never sees an
-        # upward jump; those cells are discarded below anyway
-        kb = np.asarray(K(xi, np.minimum(xi, yj)), dtype=float)
-        kb = np.broadcast_to(kb, (xs.size, xs.size)).copy()
-        kb += gx[None, :] - gx[:, None]
-        kb[np.triu_indices(xs.size, k=0)] = -np.inf  # targets strictly below
-        self.kbar = kb
+        self.gx = np.broadcast_to(gx, xs.shape)
+        n = xs.size
+        self.blocks = []
+        for r0 in range(0, n, BLOCK_ROWS):
+            r1 = min(r0 + BLOCK_ROWS, n)
+            self.blocks.append(self.kbar_at(np.arange(r0, r1)[:, None],
+                                            np.arange(r1 - 1)[None, :]))
         if ctx.absorbing:
             # jumping onto the absorbing point collects the ruin payoff
             lo = ctx.problem.diffusion.lo
-            k0 = np.asarray(K(xs, lo), dtype=float)
+            k0 = np.asarray(self.K(xs, lo), dtype=float)
             k0 = np.broadcast_to(k0, xs.shape)
-            self.to_ruin = k0 - gx + float(ctx.g(lo)) \
+            self.to_ruin = k0 - self.gx + float(ctx.g(lo)) \
                 + ctx.pair.phi(lo) * ctx.D
         else:
             self.to_ruin = None
+
+    def kbar_at(self, rows, cols):
+        """kbar at the (row, column) node index pairs; rows and cols broadcast.
+
+        -inf where column >= row, since only downward jumps count.
+        """
+        xi = self.xs[rows]
+        # clamp to the diagonal so the reward expression never sees an
+        # upward jump; those cells are discarded below anyway
+        kb = np.asarray(self.K(xi, np.minimum(xi, self.xs[cols])), dtype=float)
+        shape = np.broadcast_shapes(np.shape(rows), np.shape(cols))
+        kb = np.broadcast_to(kb, shape).copy()
+        kb += self.gx[cols] - self.gx[rows]
+        kb[cols >= rows] = -np.inf
+        return kb
 
 
 def intervention_operator(ctx, grid, values=None, workspace=None, *,
@@ -162,16 +191,25 @@ def intervention_operator(ctx, grid, values=None, workspace=None, *,
     """(M u)/phi at every grid state, maximizing over grid targets.
 
     ``values`` are transformed (Phi); conversion to and from the actual
-    excess u = phi * Phi happens here.  O(N^2) exact maximization.  With
+    excess u = phi * Phi happens here.  O(N^2) exact maximization, one
+    block of the workspace's rows at a time, so the candidates held at once
+    are one block's (``BLOCK_ROWS`` x N doubles at most).  With
     ``targets=True`` it also returns each state's maximizing target index,
     or -1 where the ruin payoff is strictly best.
     """
     values = grid.values if values is None else values
     ws = workspace or _Workspace(ctx, grid.xs, grid.ys)
     u = ws.phi * values
-    cand = ws.kbar + u[None, :]
-    target = np.argmax(cand, axis=1)
-    best = np.take_along_axis(cand, target[:, None], axis=1)[:, 0]
+    best = np.empty(u.size)
+    target = np.empty(u.size, dtype=np.intp)
+    # one buffer serves every block: a fresh block-sized array per block
+    # doubled the sweep's time at 2000 nodes
+    buf = np.empty(max(kb.size for kb in ws.blocks))
+    for r0, kb in zip(range(0, u.size, BLOCK_ROWS), ws.blocks):
+        rows = slice(r0, r0 + kb.shape[0])
+        cand = np.add(kb, u[:kb.shape[1]], out=buf[:kb.size].reshape(kb.shape))
+        target[rows] = np.argmax(cand, axis=1)
+        best[rows] = np.take_along_axis(cand, target[rows, None], axis=1)[:, 0]
     if ws.to_ruin is not None:
         target[ws.to_ruin > best] = -1
         best = np.maximum(best, ws.to_ruin)
@@ -219,7 +257,7 @@ def _policy_value(ws, ys, pin, env, m_phi, target):
                            -ws.phi[to] / ws.phi[jump]])
     rhs = np.zeros(n + 1)
     rhs[n] = pin[1]
-    rhs[jump] = ws.kbar[jump, to] / ws.phi[jump]
+    rhs[jump] = ws.kbar_at(jump, to) / ws.phi[jump]
     if ruin.size:
         rhs[ruin] = ws.to_ruin[ruin] / ws.phi[ruin]
     with warnings.catch_warnings():
@@ -247,7 +285,8 @@ def value_iteration(ctx, n_nodes=None, n_max=500, tol=None, x_max=None,
     envelope touches the intervention value.  Raises OracleError if the
     problem fails the finiteness screen.
     """
-    tol = tol or ctx.options.oracle_tol
+    if tol is None:
+        tol = ctx.options.oracle_tol
     xs, ys = make_grid(ctx, n_nodes=n_nodes, x_max=x_max)
 
     probe_a = xs[int(0.25 * xs.size)]

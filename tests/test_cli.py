@@ -200,6 +200,18 @@ def test_iterate_outputs(tmp_path):
     assert float(report["final_residual"]) <= 1e-6
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "-1"), ("--tol", "nan"), ("--tol", "0"),
+    ("--grid", "0"), ("--grid", "-5"), ("--grid", "1"),
+])
+def test_bad_oracle_override_exit_1(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    assert main(["iterate", BM, "--out", str(out), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "config error: oracle_" in err
+    assert not out.exists()
+
+
 def test_iterate_rerun_identical(tmp_path):
     out1, out2 = tmp_path / "i1", tmp_path / "i2"
     args = ["iterate", BM, "--grid", "400", "--tol", "1e-6"]

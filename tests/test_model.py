@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -59,6 +60,23 @@ def test_unquoted_expression_rejected():
     with pytest.raises(ConfigError):
         load_problem("[diffusion]\ndrift = 0\nvol = \"1\"\nalpha = 0.1\n"
                      "[reward]\nf = \"0\"\nK = \"-1\"\n")
+
+
+@pytest.mark.parametrize("line", [
+    "oracle_nodes = 0", "oracle_nodes = 1", "oracle_nodes = -4",
+    "oracle_tol = 0", "oracle_tol = -1", "oracle_tol = nan",
+    "oracle_tol = inf",
+])
+def test_bad_oracle_settings_rejected(line):
+    key = line.split(" = ")[0]
+    text = read_config("bm_quadratic_cost.cfg").replace(
+        "x_max = 15", f"x_max = 15\n{line}")
+    with pytest.raises(ConfigError, match=key):
+        load_config(text)
+    options = load_config(read_config("bm_quadratic_cost.cfg")).solver
+    value = float(line.split(" = ")[1])
+    with pytest.raises(ConfigError, match=key):
+        dataclasses.replace(options, **{key: value})
 
 
 def test_bad_line_reports_number():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,7 +87,7 @@ def test_intervention_operator_maximizer_location(bm_ctx):
     grid.xs, grid.ys = xs, ys
     grid.values = np.zeros(xs.size)
     i = int(np.searchsorted(xs, 12.261))
-    row = ws.kbar[i] + ws.phi * grid.values
+    row = ws.kbar_at(i, np.arange(xs.size)) + ws.phi * grid.values
     j = int(np.argmax(row))
     assert xs[j] == pytest.approx(5.0, abs=0.05)
     m = intervention_operator(bm_ctx, grid, workspace=ws)
@@ -126,6 +127,76 @@ def test_intervention_operator_monotone(bm_ctx):
     m2 = intervention_operator(bm_ctx, grid, phi2, workspace=ws)
     sel = np.isfinite(m1)
     assert np.all(m2[sel] >= m1[sel] - 1e-12)
+
+
+def _dense_kbar(ctx, xs):
+    """kbar as the full N x N matrix, -inf on and above the diagonal."""
+    K = ctx.problem.intervention_reward
+    gx = np.broadcast_to(np.asarray(ctx.g(xs), dtype=float), xs.shape)
+    xi = xs[:, None]
+    yj = xs[None, :]
+    kb = np.asarray(K(xi, np.minimum(xi, yj)), dtype=float)
+    kb = np.broadcast_to(kb, (xs.size, xs.size)).copy()
+    kb += gx[None, :] - gx[:, None]
+    kb[np.triu_indices(xs.size, k=0)] = -np.inf
+    return kb
+
+
+def _dense_operator(ws, kbar, values):
+    """M Phi and its targets from the dense matrix, in one piece."""
+    u = ws.phi * values
+    cand = kbar + u[None, :]
+    target = np.argmax(cand, axis=1)
+    best = np.take_along_axis(cand, target[:, None], axis=1)[:, 0]
+    if ws.to_ruin is not None:
+        target[ws.to_ruin > best] = -1
+        best = np.maximum(best, ws.to_ruin)
+    return best / ws.phi, target
+
+
+@pytest.mark.parametrize("name", ["bm", "ou"])
+@pytest.mark.parametrize("n", [200, 512, 777])
+def test_blocked_workspace_equals_dense(name, n, request):
+    # fewer nodes than one block, a multiple of the block size, and neither;
+    # ou is absorbing, so its ruin payoff competes with the jumps
+    ctx = request.getfixturevalue(f"{name}_ctx")
+    xs, ys = make_grid(ctx, n_nodes=1600)
+    xs, ys = xs[:n], ys[:n]
+    ws = _Workspace(ctx, xs, ys)
+    dense = _dense_kbar(ctx, xs)
+    rng = np.random.default_rng(n)
+    for values in (np.zeros(n), rng.uniform(0.0, 1.0, n),
+                   rng.normal(0.0, 50.0, n)):
+        m_phi, target = intervention_operator(ctx, None, values,
+                                              workspace=ws, targets=True)
+        m_ref, target_ref = _dense_operator(ws, dense, values)
+        np.testing.assert_array_equal(m_phi, m_ref)
+        np.testing.assert_array_equal(target, target_ref)
+        jump = np.flatnonzero(target >= 0)
+        np.testing.assert_array_equal(ws.kbar_at(jump, target[jump]),
+                                      dense[jump, target[jump]])
+    rows = rng.integers(0, n, 5000)
+    cols = rng.integers(0, n, 5000)
+    pairs = ws.kbar_at(rows, cols)
+    np.testing.assert_array_equal(pairs, dense[rows, cols])
+    assert np.all(pairs[cols >= rows] == -np.inf)
+    assert np.all(np.isfinite(pairs[cols < rows]))
+
+
+def test_workspace_memory_bound(ou_ctx):
+    # the dense matrix and one sweep's candidates took 91 MiB at 2000 nodes
+    xs, ys = make_grid(ou_ctx, n_nodes=2000)
+    values = np.zeros(xs.size)
+    tracemalloc.start()
+    try:
+        ws = _Workspace(ou_ctx, xs, ys)
+        intervention_operator(ou_ctx, None, values, workspace=ws,
+                              targets=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert xs.size > 1990
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
