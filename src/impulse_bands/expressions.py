@@ -12,6 +12,7 @@ non-positive number, fractional power of a negative base, ...).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -107,9 +108,9 @@ def _pow(a, b):
 
 
 _BINOPS = {
-    "+": (np.add, 0),
-    "-": (np.subtract, 0),
-    "*": (np.multiply, 1),
+    "+": (operator.add, 0),
+    "-": (operator.sub, 0),
+    "*": (operator.mul, 1),
     "/": (_div, 1),
     "^": (_pow, 3),
 }

@@ -13,10 +13,12 @@ functions evaluated through the Hermite-function integral
 
     Hermite(nu, z) = (1/Gamma(-nu)) * int_0^inf exp(-t^2 - 2 t z) t^(-nu-1) dt
 
-for nu < 0; its psi and phi are then read from a log-space Chebyshev table
-built once over the pair window.  Everything else is integrated numerically,
-each branch once in the direction where it dominates, on the state
-(log u, u'/u), which never needs rescaling; alpha = 0 takes the same route.
+for nu < 0.  Everything else is integrated numerically, each branch once in
+the direction where it dominates, on the state (log u, u'/u), which never
+needs rescaling; alpha = 0 takes the same route.  Both the OU and the
+numeric pair read psi and phi from one kind of log-space Chebyshev table,
+built once over the pair window; the quadrature or the ODE solution prices
+its nodes and stays the exact evaluator of the derivatives.
 """
 
 from __future__ import annotations
@@ -173,6 +175,7 @@ def parabolic_cylinder(nu, z):
 _CHEB_DEGREE = 40
 _CHEB_TAIL_TOL = 1e-13      # last three log coefficients of an accepted piece
 _CHEB_MAX_DEPTH = 6         # halvings before a piece keeps the exact evaluator
+_CHEB_BLOCK = 2048          # points per barycentric block of a table read
 _CHEB_NODES = np.cos(np.pi * np.arange(_CHEB_DEGREE + 1) / _CHEB_DEGREE)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(_CHEB_DEGREE + 1)
 _CHEB_WEIGHTS[[0, -1]] *= 0.5
@@ -193,15 +196,17 @@ _CHEB_TAIL = _lobatto_transform(_CHEB_DEGREE)[-3:]
 
 
 def _barycentric(s, values):
-    """Interpolant through ``values`` at the Lobatto nodes, read at s in
-    [-1, 1] by the second barycentric formula (stable on these nodes)."""
+    """Interpolants through the rows of ``values`` at the Lobatto nodes,
+    row i read at s[i] in [-1, 1] by the second barycentric formula (stable
+    on these nodes).  Row sums, not a matrix product, so that a point's
+    value does not depend on how many rows are read with it."""
     diff = s[:, None] - _CHEB_NODES
     hit = diff == 0.0
     diff[hit] = 1.0
     w = _CHEB_WEIGHTS / diff
-    out = (w @ values) / w.sum(axis=1)
+    out = (w * values).sum(axis=1) / w.sum(axis=1)
     rows, cols = np.nonzero(hit)
-    out[rows] = values[cols]
+    out[rows] = values[rows, cols]
     return out
 
 
@@ -213,8 +218,15 @@ def _log_chebyshev(exact, lo, hi):
     Chebyshev-Lobatto nodes and is accepted when the last three
     coefficients are at most 1e-13; otherwise it is halved.  A piece that
     still fails after _CHEB_MAX_DEPTH halvings, or whose nodes cannot be
-    priced, keeps ``exact``, as does every point outside [lo, hi].  All
-    pieces of one depth are priced in a single call of ``exact``.
+    priced, keeps ``exact``, as does every point outside [lo, hi]; with no
+    accepted piece ``exact`` prices every point.  All pieces of one depth
+    are priced in a single call of ``exact``.
+
+    A read finds each point's piece by one search over the sorted piece
+    starts and runs the barycentric formula on blocks of _CHEB_BLOCK
+    points, so its operation count does not grow with the number of
+    pieces.  A point inside a piece gets the same bits whatever batch it
+    is read in; a scalar gives a float.
     """
     pieces = []         # (lo, hi, log values at the nodes) of accepted pieces
     pending = [(lo, hi)]
@@ -240,22 +252,31 @@ def _log_chebyshev(exact, lo, hi):
         if not pending:
             break
 
-    def u(x):
-        xs = np.asarray(x, dtype=float)
+    pieces.sort(key=lambda piece: piece[0])
+    starts = np.array([p_lo for p_lo, _, _ in pieces])
+    ends = np.array([p_hi for _, p_hi, _ in pieces])
+    sums, widths = starts + ends, ends - starts
+    table = np.array([vals for _, _, vals in pieces]).reshape(
+        len(pieces), _CHEB_DEGREE + 1)
+
+    def read(xs):
         flat = xs.ravel()
         out = np.empty(flat.shape)
-        todo = np.ones(flat.shape, dtype=bool)
-        for p_lo, p_hi, vals in pieces:
-            sel = todo & (flat >= p_lo) & (flat <= p_hi)
-            if np.any(sel):
-                s = (2.0 * flat[sel] - (p_lo + p_hi)) / (p_hi - p_lo)
-                out[sel] = np.exp(_barycentric(s, vals))
-                todo &= ~sel
-        if np.any(todo):
-            out[todo] = exact(flat[todo])
-        return out.reshape(xs.shape) if xs.ndim else out[0]
+        k = np.searchsorted(starts, flat, side="right") - 1
+        inside = k >= 0
+        inside[inside] = flat[inside] <= ends[k[inside]]
+        idx = np.flatnonzero(inside)
+        for i in range(0, idx.size, _CHEB_BLOCK):
+            rows = idx[i:i + _CHEB_BLOCK]
+            kr = k[rows]
+            s = (2.0 * flat[rows] - sums[kr]) / widths[kr]
+            out[rows] = np.exp(_barycentric(s, table[kr]))
+        if idx.size < flat.size:
+            rest = ~inside
+            out[rest] = exact(flat[rest])
+        return out.reshape(xs.shape)
 
-    return u
+    return lambda x: scalar_or_array(read, x)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +290,11 @@ class FundamentalPair:
     Immutable and pure; safe to share between workers.  ``F_limit_lo`` is
     the limit of F at the left state boundary when known in closed form
     (0 at a natural boundary reached by decaying psi).  ``window`` is the
-    interval the pair was built on: the range of the OU table, or the
-    integration range of the numeric pair, which raises outside it.  The
-    boundary probes march no further than its finite ends.
+    interval the pair was built on: the range of the psi/phi table of an OU
+    or numeric pair, which for the numeric pair is also the integration
+    range; every numeric evaluator raises outside it.  The boundary probes
+    march no further than its finite ends.  A tabulated psi or phi gives a
+    point the same value in any batch, and a float for a scalar.
     """
 
     psi: object
@@ -568,8 +591,12 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
         psi, dpsi = (lambda x: u(x) / du_c), (lambda x: du(x) / du_c)
         phi, dphi = _log_branch(spec, ext_hi, ext_lo, 0.0, c, rtol)
 
+    # psi and phi are read from a table over the whole integration range,
+    # the ODE evaluators pricing its nodes; the derivatives stay on them
     pair = FundamentalPair(
-        psi=psi, phi=phi, dpsi=dpsi, dphi=dphi,
+        psi=_log_chebyshev(psi, ext_lo, ext_hi),
+        phi=_log_chebyshev(phi, ext_lo, ext_hi),
+        dpsi=dpsi, dphi=dphi,
         anchor=c, provenance="numeric",
         window=(ext_lo, ext_hi), F_limit_lo=None,
     )

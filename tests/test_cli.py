@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +181,49 @@ def test_constant_negative_drift_solves(tmp_path):
     assert "1 band(s), beta*=17.90" in run.stdout
     report = (tmp_path / "o" / "report.txt").read_text()
     assert "pair_provenance = numeric" in report
+
+
+NATURAL_OU = """
+[diffusion]
+drift = "-0.5*x"
+vol = "1"
+alpha = 0.1
+lo = -inf
+hi = inf
+boundary = "natural"
+
+[reward]
+f = "-x^2"
+K = "-c - lambda*(x - y)"
+
+[params]
+c = 1
+lambda = 1
+
+[solver]
+x_min = -4
+x_max = 4
+"""
+
+
+def test_natural_ou_solves_and_oracle_agrees(tmp_path, capsys):
+    # natural ends: the OU table spans m -/+ 12 sigma = (-12, 12)
+    cfg = write_cfg(tmp_path, NATURAL_OU)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["solve", cfg, "--out", str(tmp_path / "s")]) == 0
+        assert main(["iterate", cfg, "--out", str(tmp_path / "i")]) == 0
+    assert capsys.readouterr().err == ""
+    report = (tmp_path / "s" / "report.txt").read_text()
+    assert "pair_provenance = analytic_ou" in report
+    (b,) = [band[1] for band in
+            json.loads((tmp_path / "s" / "policy.json").read_text())["bands"]]
+    _, trig = read_csv(tmp_path / "i" / "triggers.csv")
+    header, grid = read_csv(tmp_path / "i" / "oracle_grid.csv")
+    xs = grid[:, header.index("x")]
+    i = int(np.searchsorted(xs, b))
+    cell = xs[i] - xs[i - 1]
+    assert np.min(np.abs(trig[:, 0] - b)) <= cell
 
 
 def test_iterate_outputs(tmp_path):

@@ -87,6 +87,43 @@ def test_integer_power_skips_domain_checks_bitwise():
         parse_expr("0^-1", ("x",))(1.0)
 
 
+# (text, params, the same arithmetic in numpy): f, K, drift and vol of the
+# shipped and benchmark configs, then mixes of /, ^, exp and abs
+DIRECT_CASES = [
+    ("-x^2", {}, lambda x, y: -np.power(x, 2.0)),
+    ("-c - lambda*(x - y)", {"c": 150, "lambda": 50},
+     lambda x, y: -150.0 - 50.0 * (x - y)),
+    ("-c*(sin(x) - sin(y)) - delta", {"c": 10, "delta": 0.35},
+     lambda x, y: -10.0 * (np.sin(x) - np.sin(y)) - 0.35),
+    ("delta*(m - x)", {"delta": 0.1, "m": 0.9}, lambda x, y: 0.1 * (0.9 - x)),
+    ("sigma*(1 + 0.2*x)", {"sigma": 0.35},
+     lambda x, y: 0.35 * (1.0 + 0.2 * x)),
+    ("k*(x - y)^gamma - Kfix", {"k": 0.7, "gamma": 0.75, "Kfix": 0.1},
+     lambda x, y: 0.7 * np.power(x - y, 0.75) - 0.1),
+    ("-0.02*x", {}, lambda x, y: -0.02 * x),
+    ("exp(-abs(x - y)) / (1 + x^2)", {},
+     lambda x, y: np.exp(-np.abs(x - y)) / (1.0 + np.power(x, 2.0))),
+    ("abs(x)^1.5 - 2/(3 + y*y) + x*y - y", {},
+     lambda x, y: np.power(np.abs(x), 1.5) - 2.0 / (3.0 + y * y) + x * y - y),
+]
+
+
+@pytest.mark.parametrize("text, params, direct", DIRECT_CASES,
+                         ids=[case[0] for case in DIRECT_CASES])
+def test_eval_bitwise_equals_direct_numpy(text, params, direct):
+    e = parse_expr(text, ("x", "y"), params)
+    rng = np.random.default_rng(11)
+    ys = rng.uniform(-2.0, 2.0, 500)
+    xs = ys + rng.uniform(0.0, 3.0, 500)     # x >= y for the ^gamma cost
+    assert e(xs, ys).tobytes() == direct(xs, ys).tobytes()
+    for x, y in zip(xs[:50], ys[:50]):
+        ref = float(direct(np.float64(x), np.float64(y)))
+        for args in ((float(x), float(y)), (x, y)):
+            out = e(*args)
+            assert type(out) is float
+            assert np.float64(out).tobytes() == np.float64(ref).tobytes()
+
+
 def test_param_substitution_closes_expression():
     e = parse_expr("k*(x - y)^gamma - Kfix", ("x", "y"),
                    params={"k": 0.7, "gamma": 0.75, "Kfix": 0.1})

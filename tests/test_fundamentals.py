@@ -6,11 +6,13 @@ import pytest
 from scipy.special import erfc, pbdv
 
 from impulse_bands import (ValidationError, analytic_fundamentals,
-                           build_context, hermite_fn, numeric_fundamentals,
+                           build_context, fundamentals, hermite_fn,
+                           load_config, numeric_fundamentals,
                            parabolic_cylinder, scan_slopes)
 from impulse_bands.errors import CatalogMissError, ImpulseError
-from impulse_bands.model import DiffusionSpec
+from impulse_bands.model import DiffusionSpec, resolve_window
 from impulse_bands.expressions import parse_expr
+from tests.conftest import STATEVOL_CFG
 
 
 def bm_spec(alpha=0.2, boundary="natural", lo=-math.inf):
@@ -242,6 +244,53 @@ def test_numeric_bm_matches_analytic(numeric_bm_pair):
                                    rtol=1e-11)
 
 
+def statevol_pair_args():
+    cfg = load_config(STATEVOL_CFG.read_text())
+    return (cfg.problem.diffusion, cfg.solver.normalization_point,
+            cfg.solver.numeric_pair_tol,
+            resolve_window(cfg.problem, cfg.solver))
+
+
+# () -> (spec, c, tol, window) of a numeric pair
+NUMERIC_TABLE_CASES = {
+    "statevol_reserve": statevol_pair_args,
+    "bm": lambda: (bm_spec(), 0.0, 1e-8, (-12, 12)),
+    "ou": lambda: (ou_spec(), 1.0, 1e-8, (0.0, 2.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_TABLE_CASES))
+def test_numeric_table_matches_ode(case, monkeypatch):
+    spec, c, tol, window = NUMERIC_TABLE_CASES[case]()
+    pair = numeric_fundamentals(spec, c=c, tol=tol, window=window)
+    # the same build with no table reads the ODE evaluators at every point
+    monkeypatch.setattr(fundamentals, "_log_chebyshev",
+                        lambda exact, lo, hi: exact)
+    ode = numeric_fundamentals(spec, c=c, tol=tol, window=window)
+    assert pair.window == ode.window
+    xs = np.linspace(*pair.window, 401)
+    for u, ref in ((pair.psi, ode.psi), (pair.phi, ode.phi)):
+        table, exact = u(xs), ref(xs)
+        np.testing.assert_allclose(table, exact, rtol=1e-11)
+        assert table.tobytes() != exact.tobytes()   # the table is read
+    assert pair.dpsi(xs).tobytes() == ode.dpsi(xs).tobytes()
+    assert pair.dphi(xs).tobytes() == ode.dphi(xs).tobytes()
+
+
+@pytest.mark.parametrize("name", ["ou", "statevol"])
+def test_table_reads_are_batch_invariant(name, request):
+    pair = request.getfixturevalue(f"{name}_ctx").pair
+    xs = np.linspace(*pair.window, 2500)    # more than one 2048-point block
+    for u in (pair.psi, pair.phi):
+        batch = u(xs)
+        pairs = np.concatenate([u(xs[i:i + 2]) for i in range(0, xs.size, 2)])
+        alone = [u(x) for x in xs]
+        assert all(type(v) is float for v in alone)
+        assert np.array(alone).tobytes() == batch.tobytes()
+        assert pairs.tobytes() == batch.tobytes()
+        assert u(xs.reshape(50, 50)).tobytes() == batch.tobytes()
+
+
 def test_numeric_normalization(numeric_bm_pair):
     assert numeric_bm_pair.psi(0.0) == pytest.approx(1.0, abs=1e-12)
     assert numeric_bm_pair.phi(0.0) == pytest.approx(1.0, abs=1e-12)
@@ -333,14 +382,17 @@ def test_numeric_ode_residual(numeric_bm_pair):
 
 
 def test_scalar_in_float_out_array_in_same_shape_out(numeric_bm_pair,
-                                                     bm_vrep):
-    pair = numeric_bm_pair
-    lo, hi = pair.window
-    xs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 6)
+                                                     ou_ctx, bm_vrep):
+    def inner(pair):
+        lo, hi = pair.window
+        return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 6)
+
+    ou = ou_ctx.pair
     b_top = bm_vrep.policy.bands[-1][1]
     xv = np.linspace(b_top - 3.0, b_top + 3.0, 6)  # both value pieces
-    for fn, arr in ((pair.psi, xs), (bm_vrep.value, xv),
-                    (bm_vrep.derivative, xv)):
+    for fn, arr in ((numeric_bm_pair.psi, inner(numeric_bm_pair)),
+                    (ou.psi, inner(ou)), (ou.phi, inner(ou)),
+                    (bm_vrep.value, xv), (bm_vrep.derivative, xv)):
         grid = arr.reshape(2, 3)
         out = fn(grid)
         assert isinstance(out, np.ndarray) and out.shape == grid.shape
