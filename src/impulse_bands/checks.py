@@ -31,8 +31,7 @@ class PropertyCheck:
 
 def _excess(ctx, vrep, xs):
     """The transformed excess value W = (v - g)/phi at the states xs."""
-    return (vrep.value(xs) - np.asarray(ctx.g(xs), dtype=float)) \
-        / np.asarray(ctx.pair.phi(xs), dtype=float)
+    return (vrep.value(xs) - ctx.g(xs)) / ctx.pair.phi(xs)
 
 
 def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
@@ -41,7 +40,7 @@ def check_f_concavity(ctx, vrep, n_triples=500, tol=1e-8, seed=11):
     x_lo, x_hi = ctx.solved_lo, ctx.window[1]
     xs = np.sort(rng.uniform(x_lo + 1e-3 * (x_hi - x_lo), x_hi,
                              (n_triples, 3)))
-    ys = np.asarray(ctx.pair.F(xs), dtype=float)
+    ys = ctx.pair.F(xs)
     wide = ys[:, 2] - ys[:, 0] >= 1e-9 * (1 + np.abs(ys[:, 2]))
     xs, ys = xs[wide], ys[wide]
     y1, y2, y3 = ys.T
@@ -61,7 +60,7 @@ def check_linearity(ctx, vrep, tol=1e-9, n=200):
     b_top = vrep.policy.bands[-1][1]
     x_lo = ctx.solved_lo
     xs = np.linspace(x_lo + 1e-6 * (b_top - x_lo), b_top, n)
-    ys = np.asarray(ctx.pair.F(xs), dtype=float)
+    ys = ctx.pair.F(xs)
     W = _excess(ctx, vrep, xs)
     coef = np.polynomial.polynomial.polyfit(ys, W, 1)
     resid = float(np.max(np.abs(W - (coef[0] + coef[1] * ys))))
@@ -80,7 +79,7 @@ def check_majorant(ctx, vrep, n=400, rel_tol=1e-7):
     xs = np.linspace(a_star, ctx.window[1], n)
     gamma = ctx.gamma(a_star, beta)
     shifted = (ctx.kbar(xs, a_star) + gamma) / ctx.pair.phi(xs)
-    line = ctx.line(np.asarray(ctx.pair.F(xs), dtype=float), beta)
+    line = ctx.line(ctx.pair.F(xs), beta)
     gapmin = float(np.min(line - shifted))
     scale = float(np.max(np.abs(shifted))) + 1.0
     ok = gapmin >= -rel_tol * scale

@@ -33,16 +33,9 @@ _FMT = "%.16e"
 
 
 def _write_csv(path, header, columns):
-    cols = [np.atleast_1d(np.asarray(c)) for c in columns]
-    n = max(c.size for c in cols)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            cells = []
-            for c in cols:
-                v = c[i] if i < c.size else math.nan
-                cells.append(_FMT % float(v))
-            fh.write(",".join(cells) + "\n")
+    """One row per index of the equally long columns, below a header."""
+    np.savetxt(path, np.column_stack(columns), fmt=_FMT, delimiter=",",
+               header=",".join(header), comments="")
 
 
 def _config_hash(text):
@@ -106,9 +99,9 @@ def cmd_solve(args):
         gamma = ctx.gamma(a_star, policy.slope)
         hi_m = min(x_hi, b_top + 0.2 * (x_hi - x_lo))
         xs_m = np.linspace(x_lo + 1e-9 * (hi_m - x_lo), hi_m, 400)
-        ys_m = np.asarray(ctx.pair.F(xs_m), dtype=float)
+        ys_m = ctx.pair.F(xs_m)
         shifted = (ctx.kbar_extended(xs_m, a_star) + gamma) \
-            / np.asarray(ctx.pair.phi(xs_m), dtype=float)
+            / ctx.pair.phi(xs_m)
         _write_csv(out / "majorant.csv", ["y", "majorant", "shifted_reward"],
                    [ys_m, ctx.line(ys_m, policy.slope), shifted])
 
@@ -142,7 +135,7 @@ def cmd_solve(args):
     samples = [("n_value_points", xs.size)]
     for q in (0.0, 0.25, 0.5, 0.75, 1.0):
         xq = x_lo + q * (x_hi - x_lo)
-        samples.append((f"v({xq:g})", float(vrep.value(xq))))
+        samples.append((f"v({xq:g})", vrep.value(xq)))
     timing = [("build_context_s", f"{t_ctx:.3f}"),
               ("solve_s", f"{t_solve:.3f}")]
     (out / "report.txt").write_text(_report_lines(
@@ -202,12 +195,19 @@ def cmd_iterate(args):
 def _policy_from_args(args):
     if args.policy:
         data = json.loads(Path(args.policy).read_text())
-        return BandPolicy.from_dict(data)
+        try:
+            return BandPolicy.from_dict(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"malformed policy file {args.policy}: {exc!r}") from None
     if args.band:
         bands = []
         for chunk in args.band:
             a, _, b = chunk.partition(":")
-            bands.append((float(a), float(b)))
+            try:
+                bands.append((float(a), float(b)))
+            except ValueError:
+                raise ConfigError(f"--band wants a:b, got {chunk!r}") from None
         return BandPolicy(bands=tuple(sorted(bands)), slope=math.nan,
                           intercept=math.nan, fixed_point_A=(math.nan, math.nan))
     raise ConfigError("simulate needs --policy FILE or --band a:b")
@@ -216,10 +216,13 @@ def _policy_from_args(args):
 def cmd_simulate(args):
     cfg, solver, text = _load(args)
     out = _out_dir(args)
-    ctx = build_context(cfg.problem, solver)
     policy = _policy_from_args(args)
+    try:
+        x0s = [float(v) for v in args.x0.split(",")]
+    except ValueError:
+        raise ConfigError(f"--x0 wants numbers, got {args.x0!r}") from None
+    ctx = build_context(cfg.problem, solver)
 
-    x0s = [float(v) for v in args.x0.split(",")]
     rows = []
     for x0 in x0s:
         sim_cfg = SimConfig(x0=x0, dt=args.dt, horizon=args.horizon,

@@ -6,7 +6,9 @@ Named parameters are substituted as constants at parse time, so a parsed
 expression is closed over its declared variables only.  Evaluation works on
 scalars and on numpy arrays and raises :class:`ExprEvalError` whenever an
 input leaves the mathematical domain (division by zero, log of a
-non-positive number, fractional power of a negative base, ...).
+non-positive number, fractional power of a negative base, ...).  Scalar
+arguments give a Python float, array arguments a float array of their
+broadcast shape, also from a constant or an expression ignoring a variable.
 """
 
 from __future__ import annotations
@@ -89,13 +91,6 @@ def _div(a, b):
     return a / b
 
 
-def _power(a, b):
-    out = np.power(np.asarray(a, dtype=float), b)
-    if out.ndim == 0 and np.isscalar(a) and np.isscalar(b):
-        return float(out)
-    return out
-
-
 def _pow(a, b):
     av = np.asarray(a, dtype=float)
     bv = np.asarray(b, dtype=float)
@@ -104,7 +99,7 @@ def _pow(a, b):
         raise ExprEvalError("fractional power of a negative base")
     if _any((av == 0) & (bv < 0)):
         raise ExprEvalError("zero raised to a negative power")
-    return _power(a, b)
+    return np.power(a, b)
 
 
 _BINOPS = {
@@ -128,7 +123,7 @@ class _Bin(_Node):
                 and right.value.is_integer()):
             # a constant non-negative integer exponent: neither domain
             # check of _pow can fire
-            self.fn = _power
+            self.fn = np.power
 
     def eval(self, env):
         return self.fn(self.left.eval(env), self.right.eval(env))
@@ -240,6 +235,7 @@ class _Parser:
         self.toks = _Tokenizer(text)
         self.variables = tuple(variables)
         self.params = dict(params)
+        self.read = set()       # the variables the text refers to
 
     def parse(self):
         node = self.expr()
@@ -305,6 +301,7 @@ class _Parser:
                 self.toks.advance()
                 return _Call(text, arg)
             if text in self.variables:
+                self.read.add(text)
                 return _Var(text)
             if text in self.params:
                 return _Num(float(self.params[text]))
@@ -325,24 +322,32 @@ class Expr:
     shared freely between threads and vectorized over numpy arrays.
     """
 
-    __slots__ = ("_root", "variables", "source")
+    __slots__ = ("_root", "variables", "source", "_reads_all")
 
-    def __init__(self, root, variables, source):
+    def __init__(self, root, variables, source, reads_all):
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "source", source)
+        object.__setattr__(self, "_reads_all", reads_all)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
 
     def __call__(self, *args):
+        """A float when every argument is a scalar, otherwise a float array
+        of the arguments' broadcast shape.  An expression that reads every
+        variable gets that shape from its own arithmetic; any other is
+        broadcast to it here, into a new array."""
         if len(args) != len(self.variables):
             raise TypeError(
                 f"expression over {self.variables} called with "
                 f"{len(args)} argument(s)")
-        env = dict(zip(self.variables, args))
-        out = self._root.eval(env)
-        if isinstance(out, np.ndarray):
+        out = self._root.eval(dict(zip(self.variables, args)))
+        if not self._reads_all:
+            full = np.empty(np.broadcast(*args).shape)
+            full[...] = out
+            out = full
+        if isinstance(out, np.ndarray) and out.ndim:
             return out
         return float(out)
 
@@ -362,5 +367,5 @@ def parse_expr(text, variables, params=None):
     """
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression")
-    root = _Parser(text, variables, params or {}).parse()
-    return Expr(root, variables, text)
+    parser = _Parser(text, variables, params or {})
+    return Expr(parser.parse(), variables, text, parser.read == set(variables))

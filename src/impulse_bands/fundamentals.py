@@ -68,7 +68,7 @@ _Z_BLOCK = 256
 
 
 def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
-    """int_0^inf exp(-t^2 - 2 t z) t^(p-1) dt for each z, p > 0.
+    """int_0^inf exp(-t^2 - 2 t z) t^(p-1) dt for each z in flat zs, p > 0.
 
     The substitution t = u^(1/p) absorbs the endpoint singularity exactly;
     the transformed integrand is then handled by adaptive Gauss-Kronrod
@@ -76,7 +76,6 @@ def _hermite_integral(p, zs, abs_tol, rel_tol, max_panels=512):
     splits, in one vectorized evaluation, every panel whose error exceeds
     an equal share of the tolerance; if no panel did, the total would pass.
     """
-    zs = np.atleast_1d(np.asarray(zs, dtype=float))
     t_peak = np.maximum(0.0, -zs)
     if zs.size > 1 and float(np.ptp(t_peak)) > 2.0:
         # heterogeneous peak locations need their own panel sets: bucket
@@ -155,8 +154,8 @@ def hermite_fn(nu, z, abs_tol=1e-12, rel_tol=1e-10):
         raise ValidationError("hermite_fn requires nu < 0")
     p = -float(nu)
     return scalar_or_array(
-        lambda zs: _hermite_integral(p, zs, abs_tol, rel_tol)
-        / (p * math.gamma(p)), z)
+        lambda zs: _hermite_integral(p, zs.ravel(), abs_tol, rel_tol)
+        .reshape(zs.shape) / (p * math.gamma(p)), z)
 
 
 def parabolic_cylinder(nu, z):
@@ -293,8 +292,10 @@ class FundamentalPair:
     interval the pair was built on: the range of the psi/phi table of an OU
     or numeric pair, which for the numeric pair is also the integration
     range; every numeric evaluator raises outside it.  The boundary probes
-    march no further than its finite ends.  A tabulated psi or phi gives a
-    point the same value in any batch, and a float for a scalar.
+    march no further than its finite ends.  Every evaluator gives a float
+    for a scalar and a float array of the same shape for an array
+    (``scalar_or_array``); a tabulated psi or phi also gives a point the
+    same value in any batch.
     """
 
     psi: object
@@ -329,8 +330,8 @@ def _structure_grid(spec):
 
 def _match_catalog(spec):
     xs = _structure_grid(spec)
-    mu = np.broadcast_to(np.asarray(spec.drift(xs), dtype=float), xs.shape)
-    sg = np.broadcast_to(np.asarray(spec.vol(xs), dtype=float), xs.shape)
+    mu = spec.drift(xs)
+    sg = spec.vol(xs)
 
     if np.max(np.abs(mu)) <= 1e-12 and np.max(np.abs(sg - 1.0)) <= 1e-12:
         return ("bm",)
@@ -354,10 +355,10 @@ def _bm_pair(spec):
     s = math.sqrt(2.0 * spec.alpha)
 
     def psi(x):
-        return np.exp(s * np.asarray(x, dtype=float))
+        return scalar_or_array(lambda xs: np.exp(s * xs), x)
 
     def phi(x):
-        return np.exp(-s * np.asarray(x, dtype=float))
+        return scalar_or_array(lambda xs: np.exp(-s * xs), x)
 
     F_lo = 0.0 if not math.isfinite(spec.lo) else math.exp(2 * s * spec.lo)
     lo = spec.lo if math.isfinite(spec.lo) else -math.inf
@@ -374,13 +375,13 @@ def _bm_zero_rate_pair(spec):
     lo = spec.lo
 
     def one_like(x):
-        return np.ones_like(np.asarray(x, dtype=float))
+        return scalar_or_array(np.ones_like, x)
 
     return FundamentalPair(
-        psi=lambda x: np.asarray(x, dtype=float) - lo,
+        psi=lambda x: scalar_or_array(lambda xs: xs - lo, x),
         phi=one_like,
         dpsi=one_like,
-        dphi=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        dphi=lambda x: scalar_or_array(np.zeros_like, x),
         anchor=lo + 1.0, provenance="analytic_bm_zero_rate",
         window=(lo, math.inf), F_limit_lo=0.0,
     )
@@ -392,8 +393,9 @@ def _ou_pair(spec, delta, m, sigma0):
         raise CatalogMissError("OU catalog needs alpha > 0")
     root = math.sqrt(2.0 * delta)
 
+    # the table and scalar_or_array pass every evaluator a float array
     def z_of(x):
-        return (np.asarray(x, dtype=float) - m) / sigma0
+        return (x - m) / sigma0
 
     def gauss(z):
         return np.exp(0.5 * delta * z * z)
@@ -426,7 +428,8 @@ def _ou_pair(spec, delta, m, sigma0):
     return FundamentalPair(
         psi=_log_chebyshev(psi, win_lo, win_hi),
         phi=_log_chebyshev(phi, win_lo, win_hi),
-        dpsi=dpsi, dphi=dphi,
+        dpsi=lambda x: scalar_or_array(dpsi, x),
+        dphi=lambda x: scalar_or_array(dphi, x),
         anchor=m, provenance="analytic_ou",
         window=(win_lo, win_hi), F_limit_lo=0.0 if not math.isfinite(lo) else None,
     )
@@ -468,8 +471,8 @@ def _log_branch(spec, x0, x1, rate0, c, rtol):
 
     def rhs(x, y):
         r = y[1]
-        s2 = float(sig(x)) ** 2
-        return [r, 2.0 * (alpha - float(mu(x)) * r) / s2 - r * r]
+        s2 = sig(x) ** 2
+        return [r, 2.0 * (alpha - mu(x) * r) / s2 - r * r]
 
     sol = solve_ivp(rhs, (x0, x1), [0.0, rate0], method="DOP853",
                     dense_output=True, rtol=rtol, atol=1e-16)
@@ -497,8 +500,8 @@ def _log_branch(spec, x0, x1, rate0, c, rtol):
 
 def _wkb_roots(spec, x):
     """Local growth/decay rates: roots of (sigma^2/2) k^2 + mu k - alpha."""
-    mu = float(spec.drift(x))
-    s2 = float(spec.vol(x)) ** 2
+    mu = spec.drift(x)
+    s2 = spec.vol(x) ** 2
     if s2 == 0.0:
         raise SolverError(
             f"volatility vanishes at x={x}: the fundamental pair cannot be "
@@ -509,8 +512,8 @@ def _wkb_roots(spec, x):
 
 def _coefficients_ok(spec, xs):
     try:
-        sg = np.asarray(spec.vol(xs), dtype=float)
-        mu = np.asarray(spec.drift(xs), dtype=float)
+        sg = spec.vol(xs)
+        mu = spec.drift(xs)
     except ImpulseError:
         return False
     return bool(np.all(np.isfinite(sg)) and np.all(sg > 0) and np.all(np.isfinite(mu)))
@@ -583,8 +586,7 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
         # growing away from there, so that u's variation, not a constant
         # floor, carries its digits; psi'(c) = 1 fixes the scale
         grid = np.linspace(ext_lo, ext_hi, 65)
-        pull = np.mean(np.asarray(spec.drift(grid), dtype=float)
-                       / np.asarray(spec.vol(grid), dtype=float) ** 2)
+        pull = np.mean(spec.drift(grid) / spec.vol(grid) ** 2)
         x0, x1 = (ext_hi, ext_lo) if pull > 0 else (ext_lo, ext_hi)
         u, du = _log_branch(spec, x0, x1, 1.0 / (x1 - x0), c, rtol)
         du_c = du(c)

@@ -285,15 +285,14 @@ def _validate_problem(problem, options):
     xs = diagnostic_grid(problem, options)
     d = problem.diffusion
 
-    sigma = np.asarray(d.vol(xs), dtype=float)
-    sigma = np.broadcast_to(sigma, xs.shape)
+    sigma = d.vol(xs)
     if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
         bad = xs[~(np.isfinite(sigma) & (sigma > 0))][0]
         raise ValidationError(f"volatility must be positive; fails at x={bad}")
     if d.absorbing:
         # the pair is built by integrating up to the absorbing end
         try:
-            s_lo = float(d.vol(d.lo))
+            s_lo = d.vol(d.lo)
         except ExprEvalError:
             s_lo = math.nan
         if not (math.isfinite(s_lo) and s_lo > 0):
@@ -301,19 +300,17 @@ def _validate_problem(problem, options):
                 "volatility must be positive at the absorbing boundary; "
                 f"fails at x={d.lo} (vol={s_lo})")
 
-    mu = np.broadcast_to(np.asarray(d.drift(xs), dtype=float), xs.shape)
+    mu = d.drift(xs)
     if not np.all(np.isfinite(mu)):
         bad = xs[~np.isfinite(mu)][0]
         raise ValidationError(f"drift is not finite at x={bad}")
 
-    f = np.broadcast_to(
-        np.asarray(problem.running_reward(xs), dtype=float), xs.shape)
+    f = problem.running_reward(xs)
     if not np.all(np.isfinite(f)):
         bad = xs[~np.isfinite(f)][0]
         raise ValidationError(f"running reward is not finite at x={bad}")
 
-    kxx = np.broadcast_to(
-        np.asarray(problem.intervention_reward(xs, xs), dtype=float), xs.shape)
+    kxx = problem.intervention_reward(xs, xs)
     if not np.all(np.isfinite(kxx) & (kxx < 0)):
         bad = xs[~(np.isfinite(kxx) & (kxx < 0))][0]
         raise ValidationError(

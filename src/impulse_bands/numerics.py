@@ -8,6 +8,7 @@ import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 _INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+_FLOAT = np.dtype(float)
 
 
 def fd_step(x):
@@ -23,7 +24,13 @@ def central_diff(f, x):
 
 def scalar_or_array(fn, x, *args):
     """fn(xs, *args) on x as a float array of at least one dimension; a
-    Python float back for a scalar x, fn's array otherwise."""
+    Python float back for a scalar x, fn's float array of xs's shape
+    otherwise: the return contract of every function of the state the
+    package builds."""
+    # a float64 array goes to fn as it is; numpy keeps one float64
+    # descriptor, so testing it by identity is the cheapest check
+    if type(x) is np.ndarray and x.ndim and x.dtype is _FLOAT:
+        return fn(x, *args)
     xs = np.asarray(x, dtype=float)
     out = fn(np.atleast_1d(xs), *args)
     return float(out[0]) if xs.ndim == 0 else out

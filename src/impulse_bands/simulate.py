@@ -84,13 +84,11 @@ class SimResult:
 def _const_or_none(expr):
     probe = np.array([-1.7, 0.3, 2.9])
     try:
-        vals = np.asarray(expr(probe), dtype=float)
+        vals = expr(probe)
     except ImpulseError:
         return None
-    if vals.ndim == 0:
-        return float(vals)
-    if np.all(vals == vals.flat[0]):
-        return float(vals.flat[0])
+    if np.all(vals == vals[0]):
+        return float(vals[0])
     return None
 
 
@@ -112,8 +110,7 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
     triggers = np.array(policy.triggers, dtype=float)
     targets = np.array(policy.targets, dtype=float)
     K = ctx.problem.intervention_reward
-    k_at_barrier = np.array(
-        [float(K(b, a)) for a, b in policy.bands], dtype=float)
+    k_at_barrier = np.array([K(b, a) for a, b in policy.bands], dtype=float)
 
     sqdt = math.sqrt(cfg.dt)
     decay = math.exp(-alpha * cfg.dt)
@@ -131,7 +128,7 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
         # at/above the top trigger the policy acts at once
         m = x >= triggers[-1]
         if np.any(m):
-            pay[m] += np.asarray(K(x[m], targets[-1]), dtype=float)
+            pay[m] += K(x[m], targets[-1])
             x[m] = targets[-1]
 
     # cell edges clipped to [floor, ceiling], so that a step ending inside
@@ -151,14 +148,13 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
         if m == 0:
             break
         if not f_is_zero:
-            pay += (disc * cfg.dt) * np.asarray(f(x), dtype=float)
+            pay += (disc * cfg.dt) * f(x)
         z = rng.standard_normal(m)
-        drift_term = (mu_c * cfg.dt) if mu_c is not None \
-            else np.asarray(mu(x), dtype=float) * cfg.dt
+        drift_term = (mu_c * cfg.dt) if mu_c is not None else mu(x) * cfg.dt
         if sig_c is not None:
             x_new = x + drift_term + (sig_c * sqdt) * z
         else:
-            x_new = x + drift_term + np.asarray(sig(x), dtype=float) * sqdt * z
+            x_new = x + drift_term + sig(x) * sqdt * z
 
         inside = (x_new >= lower) & (x_new < upper)
         if not inside.all():
@@ -217,16 +213,20 @@ def _simulate_chunk(ctx, policy, cfg, n, rng):
 
 
 def _worker_count(n_chunks):
-    """IMPULSE_THREADS when set; otherwise one worker per core, at most one
-    per chunk.  Each chunk owns its seed, so the count never moves a
-    result."""
+    """IMPULSE_THREADS when set, which must then be a positive integer;
+    otherwise one worker per core, at most one per chunk.  Each chunk owns
+    its seed, so the count never moves a result."""
     env = os.environ.get("IMPULSE_THREADS", "")
     if not env:
         return min(os.cpu_count() or 1, n_chunks)
     try:
-        return max(1, int(env))
+        n = int(env)
     except ValueError:
-        return 1
+        n = 0
+    if n < 1:
+        raise SimulationError(
+            f"IMPULSE_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
 def simulate_policy(ctx, policy, cfg, n_workers=None, return_payoffs=False):

@@ -81,16 +81,14 @@ class ValueFunctionRep:
     ctx: object = field(repr=False)
 
     def _v0(self, x):
-        xs = np.asarray(x, dtype=float)
         c = self.ctx
-        return c.pair.phi(xs) * c.line(c.pair.F(xs), self.policy.slope) \
-            + c.g(xs)
+        return c.pair.phi(x) * c.line(c.pair.F(x), self.policy.slope) \
+            + c.g(x)
 
     def _dv0(self, x):
-        xs = np.asarray(x, dtype=float)
         c = self.ctx
         beta = self.policy.slope
-        return beta * c.deta(xs) + c.D * c.pair.dphi(xs) + c.dg(xs)
+        return beta * c.deta(x) + c.D * c.pair.dphi(x) + c.dg(x)
 
     def _piecewise(self, xs, inner, jump):
         """inner(xs) below the last trigger b_top; at and beyond it
@@ -102,14 +100,13 @@ class ValueFunctionRep:
             if np.any(beyond):
                 K = self.ctx.problem.intervention_reward
                 out = np.where(beyond, jump(
-                    lambda x: np.asarray(K(x, a_top), dtype=float), a_top,
-                    np.maximum(xs, b_top)), out)
+                    lambda x: K(x, a_top), a_top, np.maximum(xs, b_top)), out)
         return out
 
     def value(self, x):
         return scalar_or_array(
             self._piecewise, x, self._v0,
-            lambda k, a_top, xq: float(self._v0(a_top)) + k(xq))
+            lambda k, a_top, xq: self._v0(a_top) + k(xq))
 
     def derivative(self, x):
         return scalar_or_array(
@@ -133,7 +130,7 @@ class ValueFunctionRep:
                 "kind": "intervention",
                 "x_range": (b_top, math.inf),
                 "target": a_top,
-                "base_value": float(self._v0(a_top)),
+                "base_value": self._v0(a_top),
             })
         return desc
 
@@ -153,9 +150,8 @@ class _ScanWorkspace:
 def _chord_terms(ctx, x):
     """(phi, eta, g) at x: the pair terms of the chord slope at one end,
     with eta = psi - F_lo phi."""
-    phi = np.asarray(ctx.pair.phi(x), dtype=float)
-    eta = np.asarray(ctx.pair.psi(x) - ctx.F_lo * phi, dtype=float)
-    return phi, eta, np.asarray(ctx.g(x), dtype=float)
+    phi = ctx.pair.phi(x)
+    return phi, ctx.pair.psi(x) - ctx.F_lo * phi, ctx.g(x)
 
 
 def _chord_slope(ctx, b, a, at_b, at_a):
@@ -163,7 +159,7 @@ def _chord_slope(ctx, b, a, at_b, at_a):
     K = ctx.problem.intervention_reward
     phi_b, eta_b, g_b = at_b
     phi_a, eta_a, g_a = at_a
-    kab = np.asarray(K(b, a), dtype=float) - g_b + g_a
+    kab = K(b, a) - g_b + g_a
     return (kab - ctx.D * (phi_b - phi_a)) / (eta_b - eta_a)
 
 
@@ -234,14 +230,15 @@ def _stage_roots(ctx, a_vec, workspace=None):
 def _stage_result(ctx, a, roots):
     roots = sorted(roots, key=lambda t: -t[1])
     b_best, beta_best = roots[0]
-    dkb = float(central_diff(lambda x: float(ctx.kbar(x, a)), b_best))
-    resid = beta_best * float(ctx.deta(b_best)) \
-        + ctx.D * float(ctx.pair.dphi(b_best)) - dkb
-    scale = abs(beta_best * float(ctx.deta(b_best))) + abs(dkb) + 1e-300
+    # central_diff's step is a numpy scalar, and so is its result
+    dkb = float(central_diff(lambda x: ctx.kbar(x, a), b_best))
+    deta = ctx.deta(b_best)
+    resid = beta_best * deta + ctx.D * ctx.pair.dphi(b_best) - dkb
+    scale = abs(beta_best * deta) + abs(dkb) + 1e-300
     multi = len(roots) > 1 and roots[1][1] >= beta_best * (1 - 1e-3)
     return StageResult(
-        a=float(a), b=float(b_best), beta=float(beta_best),
-        gamma=ctx.gamma(a, beta_best), tangency_residual=float(resid / scale),
+        a=a, b=b_best, beta=beta_best,
+        gamma=ctx.gamma(a, beta_best), tangency_residual=resid / scale,
         n_tangency_roots=len(roots), multi_trigger=bool(multi),
         roots=tuple(roots))
 
@@ -284,10 +281,8 @@ def _stop_states(ctx, a, grid):
     the grid's stop states x_k >= a (downward jumps only)."""
     xs, ys = stopping_grid(ctx) if grid is None else grid
     stop = xs >= a
-    return (float(ctx.pair.phi(a)), float(ctx.pair.F(a)) - ctx.F_lo,
-            np.asarray(ctx.kbar(xs[stop], a), dtype=float),
-            np.asarray(ctx.pair.phi(xs[stop]), dtype=float),
-            ys[stop] - ctx.F_lo)
+    return (ctx.pair.phi(a), ctx.pair.F(a) - ctx.F_lo, ctx.kbar(xs[stop], a),
+            ctx.pair.phi(xs[stop]), ys[stop] - ctx.F_lo)
 
 
 def stopping_value(ctx, a, gamma, grid=None):
@@ -446,7 +441,7 @@ def scan_slopes(ctx):
             "multiple tangency triggers detected for a single target "
             "(multi_trigger); only the best trigger is used")
 
-    a0 = float(stages[0].a)
+    a0 = stages[0].a
     span_pad = 1e-3 * (ctx.window[1] - a0)
     profile = concavity_profile(
         ctx, lambda x: ctx.kbar(x, a0),

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ImpulseError, SolverError
 from .fundamentals import FundamentalPair, fundamentals_for
 from .model import ImpulseProblem, SolverOptions, resolve_window
-from .numerics import fd_step
+from .numerics import fd_step, scalar_or_array
 
 _PROBE_COUNT = 12
 _PROBE_RATIO = 2.0
@@ -71,8 +71,7 @@ class TransformContext:
         (the pure fixed cost) keeps the curve defined there without
         creating stopping incentives.
         """
-        xs = np.asarray(x, dtype=float)
-        return self.kbar(xs, np.minimum(xs, float(a)))
+        return self.kbar(x, np.minimum(x, a))
 
     def deta(self, x):
         """Derivative of eta = psi - F_lo phi = phi (F - F_lo)."""
@@ -80,11 +79,11 @@ class TransformContext:
 
     def line(self, y, beta):
         """The candidate value line W(y) = beta (y - F_lo) + D."""
-        return beta * (np.asarray(y, dtype=float) - self.F_lo) + self.D
+        return beta * (y - self.F_lo) + self.D
 
     def gamma(self, a, beta):
         """gamma = phi(a) W(F(a)): the fixed point for slope beta, target a."""
-        return float(self.pair.phi(a)) * float(self.line(self.pair.F(a), beta))
+        return self.pair.phi(a) * self.line(self.pair.F(a), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ class TransformContext:
 # ---------------------------------------------------------------------------
 
 def _quadratic_fit(f, xs):
-    ys = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    ys = f(xs)
     coef = np.polynomial.polynomial.polyfit(xs, ys, 2)
     coef[np.abs(coef) <= 1e-12 * (1.0 + np.max(np.abs(coef)))] = 0.0
     fit = coef[0] + coef[1] * xs + coef[2] * xs * xs
@@ -109,22 +108,22 @@ def compute_g(problem, pair, window, n_grid=8001):
     rewards of degree <= 2 on standard Brownian motion; otherwise
     (A - alpha) g = -f is solved through the resolvent kernel
     w^-1 psi(x ^ y) phi(x v y) m(y) dy on the truncated window, which
-    builds in the correct growth behavior at both ends.
+    builds in the correct growth behavior at both ends.  Every route's g
+    and dg keep the pair's return contract.
     """
     d = problem.diffusion
     f = problem.running_reward
     x_lo, x_hi = window
     xs = np.linspace(x_lo, x_hi, n_grid)
 
-    fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+    fv = f(xs)
     if np.max(np.abs(fv)) == 0.0:
-        zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+        zero = lambda x: scalar_or_array(np.zeros_like, x)
         return zero, zero, "zero"
 
     def evaluable(pts):
         try:
-            vals = [np.asarray(fn(pts), dtype=float)
-                    for fn in (d.drift, d.vol, f, pair.psi, pair.phi)]
+            vals = [fn(pts) for fn in (d.drift, d.vol, f, pair.psi, pair.phi)]
         except ImpulseError:
             return False
         return all(np.all(np.isfinite(v)) for v in vals)
@@ -141,7 +140,7 @@ def compute_g(problem, pair, window, n_grid=8001):
     if (lo_q, hi_q) != (x_lo, x_hi):
         n_grid = min(int(n_grid * (hi_q - lo_q) / span) | 1, 32001)
         xs = np.linspace(lo_q, hi_q, n_grid)
-        fv = np.broadcast_to(np.asarray(f(xs), dtype=float), xs.shape)
+        fv = f(xs)
 
     if pair.provenance == "analytic_bm" and d.alpha > 0:
         coef = _quadratic_fit(f, xs)
@@ -152,19 +151,18 @@ def compute_g(problem, pair, window, n_grid=8001):
             a0 = (s0 + a2) / d.alpha
 
             def g(x):
-                xv = np.asarray(x, dtype=float)
-                return a0 + a1 * xv + a2 * xv * xv
+                return scalar_or_array(lambda v: a0 + a1 * v + a2 * v * v, x)
 
             def dg(x):
-                return a1 + 2.0 * a2 * np.asarray(x, dtype=float)
+                return scalar_or_array(lambda v: a1 + 2.0 * a2 * v, x)
 
             return g, dg, "analytic_bm_quadratic"
 
     # resolvent quadrature: scale density s, speed density m
     from scipy.integrate import cumulative_simpson
 
-    mu = np.broadcast_to(np.asarray(d.drift(xs), dtype=float), xs.shape)
-    sig = np.broadcast_to(np.asarray(d.vol(xs), dtype=float), xs.shape)
+    mu = d.drift(xs)
+    sig = d.vol(xs)
     ratio = 2.0 * mu / (sig * sig)
     cum = cumulative_simpson(ratio, x=xs, initial=0.0)
     anchor = np.interp(pair.anchor, xs, cum) if x_lo <= pair.anchor <= x_hi else cum[0]
@@ -190,10 +188,10 @@ def compute_g(problem, pair, window, n_grid=8001):
     dg_grid = (dphi_v * cum_lower + dpsi_v * cum_upper) / w_const
 
     def g(x):
-        return np.interp(np.asarray(x, dtype=float), xs, g_grid)
+        return scalar_or_array(np.interp, x, xs, g_grid)
 
     def dg(x):
-        return np.interp(np.asarray(x, dtype=float), xs, dg_grid)
+        return scalar_or_array(np.interp, x, xs, dg_grid)
 
     return g, dg, "resolvent_quadrature"
 
@@ -241,25 +239,23 @@ def boundary_data(problem, pair, g, window):
     x_lo, x_hi = window
     if d.absorbing:
         lo = d.lo
-        F_lo = float(pair.F(lo))
-        D = float((problem.ruin_penalty - g(lo)) / pair.phi(lo))
+        F_lo = pair.F(lo)
+        D = (problem.ruin_penalty - g(lo)) / pair.phi(lo)
         return F_lo, D
 
     probes = _left_probes(problem, pair, window)
     if pair.F_limit_lo is not None:
         F_lo = float(pair.F_limit_lo)
     else:
-        F_lo = float(pair.F(probes[-1]))
+        F_lo = pair.F(probes[-1])
 
     K = problem.intervention_reward
     mid = 0.5 * (x_lo + x_hi)
     estimates = []
     for a in (mid, 0.5 * (mid + x_hi)):
         with np.errstate(over="ignore"):
-            vals = np.maximum(
-                np.asarray(K(probes, a), dtype=float)
-                - np.asarray(g(probes), dtype=float)
-                + float(g(a)), 0.0) / pair.phi(probes)
+            vals = np.maximum(K(probes, a) - g(probes) + g(a),
+                              0.0) / pair.phi(probes)
         tail = vals[-3:]
         if not np.all(np.isfinite(tail)):
             raise SolverError(
@@ -317,15 +313,15 @@ def concavity_profile(ctx, h, n=512, rel_tol=1e-7, x_range=None):
     pad = (x_hi - x_lo) / (n + 1)
     xs = np.linspace(x_lo + pad, x_hi - pad, n)
     hstep = fd_step(xs)
-    h0 = np.asarray(h(xs), dtype=float)
-    hp = np.asarray(h(xs + hstep), dtype=float)
-    hm = np.asarray(h(xs - hstep), dtype=float)
+    h0 = h(xs)
+    hp = h(xs + hstep)
+    hm = h(xs - hstep)
     d1 = (hp - hm) / (2.0 * hstep)
     d2 = (hp - 2.0 * h0 + hm) / (hstep * hstep)
 
     d = ctx.problem.diffusion
-    sig = np.broadcast_to(np.asarray(d.vol(xs), dtype=float), xs.shape)
-    mu = np.broadcast_to(np.asarray(d.drift(xs), dtype=float), xs.shape)
+    sig = d.vol(xs)
+    mu = d.drift(xs)
     gen = 0.5 * sig * sig * d2 + mu * d1 - d.alpha * h0
 
     # sign threshold: global scale plus the cancellation floor of the
@@ -391,9 +387,9 @@ def _right_probes(ctx, a):
     for x in cand:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                phi = float(ctx.pair.phi(x))
-                psi = float(ctx.pair.psi(x))
-                kb = float(ctx.kbar(x, float(a)))
+                phi = ctx.pair.phi(x)
+                psi = ctx.pair.psi(x)
+                kb = ctx.kbar(x, a)
         except ImpulseError:
             break
         if not (math.isfinite(phi) and phi > 0 and math.isfinite(psi)):
@@ -420,8 +416,7 @@ def finiteness_check(ctx, a):
         probes = np.linspace(0.5 * (float(a) + x_hi), x_hi, 6)
     with np.errstate(over="ignore", invalid="ignore"):
         H = ctx.kbar(probes, float(a)) / ctx.pair.phi(probes)
-        Y = np.asarray(ctx.pair.F(probes), dtype=float)
-        slopes = np.asarray(np.diff(H) / np.diff(Y), dtype=float)
+        slopes = np.diff(H) / np.diff(ctx.pair.F(probes))
     if not np.all(np.isfinite(slopes)):
         return FinitenessResult(finite=False, q=None, estimates=tuple(slopes))
     tail = slopes[-4:]

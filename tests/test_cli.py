@@ -81,16 +81,20 @@ def test_solver_failure_exit_2(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
-def _run_module(tmp_path, text):
-    """python -W error -m impulse_bands solve on the config text."""
-    cfg = write_cfg(tmp_path, text)
+def _run_cli(*args):
+    """python -W error -m impulse_bands with the given arguments."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "impulse_bands", "solve", cfg,
-         "--out", str(tmp_path / "o")],
+        [sys.executable, "-W", "error", "-m", "impulse_bands", *args],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run_module(tmp_path, text):
+    """python -W error -m impulse_bands solve on the config text."""
+    return _run_cli("solve", write_cfg(tmp_path, text),
+                    "--out", str(tmp_path / "o"))
 
 
 @pytest.mark.parametrize("section, key, line, bad", [
@@ -268,6 +272,28 @@ def test_iterate_rerun_identical(tmp_path):
 def test_simulate_requires_policy(tmp_path, capsys):
     assert main(["simulate", BM, "--out", str(tmp_path / "s")]) == 1
     assert "policy" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, policy_text, named", [
+    (["--band", "1:abc"], None, "--band"),
+    (["--band", "1"], None, "--band"),
+    (["--band", "5:12", "--x0", "abc"], None, "--x0"),
+    (["--policy"], '{"bands": [[5.0, 12.0]], "intercept": 0.0, '
+     '"fixed_point_A": [0.0, 0.0]}', "policy.json"),
+    (["--policy"], "[[5.0, 12.0]]", "policy.json"),
+], ids=["band_not_numeric", "band_one_number", "x0_not_numeric",
+        "policy_without_slope", "policy_a_list"])
+def test_malformed_simulate_argument_exit_1(tmp_path, args, policy_text,
+                                            named):
+    if policy_text is not None:
+        policy = tmp_path / "policy.json"
+        policy.write_text(policy_text)
+        args = args + [str(policy)]
+    run = _run_cli("simulate", BM, "--out", str(tmp_path / "s"), *args)
+    assert run.returncode == 1
+    assert run.stderr.startswith("config error:")
+    assert named in run.stderr
+    assert "Traceback" not in run.stderr
 
 
 def test_simulate_from_policy_file(tmp_path):

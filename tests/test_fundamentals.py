@@ -6,8 +6,8 @@ import pytest
 from scipy.special import erfc, pbdv
 
 from impulse_bands import (ValidationError, analytic_fundamentals,
-                           build_context, fundamentals, hermite_fn,
-                           load_config, numeric_fundamentals,
+                           assemble_value, build_context, fundamentals,
+                           hermite_fn, load_config, numeric_fundamentals,
                            parabolic_cylinder, scan_slopes)
 from impulse_bands.errors import CatalogMissError, ImpulseError
 from impulse_bands.model import DiffusionSpec, resolve_window
@@ -381,25 +381,98 @@ def test_numeric_ode_residual(numeric_bm_pair):
                          np.linspace(-8, 8, 33)) < 1e-6
 
 
-def test_scalar_in_float_out_array_in_same_shape_out(numeric_bm_pair,
-                                                     ou_ctx, bm_vrep):
-    def inner(pair):
-        lo, hi = pair.window
-        return np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 6)
+# the Hermite quadrature refines its panels for each batch, each batch to
+# rel_tol 1e-10, so a point read alone and in a batch agree to about twice
+# that; every other evaluator gives a point the same value in any batch
+QUADRATURE_REL = 1e-9
 
-    ou = ou_ctx.pair
-    b_top = bm_vrep.policy.bands[-1][1]
-    xv = np.linspace(b_top - 3.0, b_top + 3.0, 6)  # both value pieces
-    for fn, arr in ((numeric_bm_pair.psi, inner(numeric_bm_pair)),
-                    (ou.psi, inner(ou)), (ou.phi, inner(ou)),
-                    (bm_vrep.value, xv), (bm_vrep.derivative, xv)):
-        grid = arr.reshape(2, 3)
-        out = fn(grid)
-        assert isinstance(out, np.ndarray) and out.shape == grid.shape
-        for scalar in (grid[1, 2], float(grid[1, 2])):
-            one = fn(scalar)
-            assert type(one) is float
-            assert one == pytest.approx(out[1, 2], rel=1e-12, abs=1e-300)
+# name -> (the pair, given the pytest request; ends of a grid in its window)
+CONTRACT_PAIRS = {
+    "bm": (lambda request: request.getfixturevalue("bm_ctx").pair, -5.0, 5.0),
+    "bm_zero_rate": (lambda request: analytic_fundamentals(bm_spec(
+        alpha=0.0, boundary="absorbing", lo=0.0)), 0.5, 8.0),
+    "ou": (lambda request: request.getfixturevalue("ou_ctx").pair, 0.2, 2.4),
+    "numeric": (lambda request: request.getfixturevalue("numeric_bm_pair"),
+                -8.0, 8.0),
+}
+
+
+def _grid(lo, hi):
+    return np.linspace(lo, hi, 6).reshape(2, 3)
+
+
+def _pair_case(name, attr):
+    pair_of, lo, hi = CONTRACT_PAIRS[name]
+    rel = QUADRATURE_REL if (name, attr) in (("ou", "dpsi"), ("ou", "dphi")) \
+        else 1e-12
+    return lambda request: (getattr(pair_of(request), attr), (_grid(lo, hi),),
+                            rel)
+
+
+def _g_case(ctx_name, route, attr, lo, hi):
+    def build(request):
+        ctx = request.getfixturevalue(ctx_name)
+        assert ctx.g_provenance == route
+        return getattr(ctx, attr), (_grid(lo, hi),), 1e-12
+    return build
+
+
+def _expr_case(text, variables, *args):
+    params = {"sigma": 0.35, "delta": 0.1, "m": 0.9, "c": 150.0, "lam": 50.0}
+    return lambda request: (parse_expr(text, variables, params), args, 1e-12)
+
+
+def _value_case(ctx_name, scan_name, attr, rel=1e-12):
+    def build(request):
+        ctx = request.getfixturevalue(ctx_name)
+        vrep = assemble_value(ctx, request.getfixturevalue(scan_name).policy)
+        b_top = vrep.policy.bands[-1][1]
+        lo = ctx.solved_lo + 0.1 * (b_top - ctx.solved_lo)
+        # both pieces: the transformed line below b_top, the jump above
+        return getattr(vrep, attr), (_grid(lo, 2 * b_top - lo),), rel
+    return build
+
+
+# case -> (function, 2-D array arguments, rel tolerance), given the request
+CONTRACT_CASES = {
+    **{f"{name}.{attr}": _pair_case(name, attr) for name in CONTRACT_PAIRS
+       for attr in ("psi", "phi", "dpsi", "dphi", "F")},
+    **{f"{route}.{attr}": _g_case(ctx_name, route, attr, lo, hi)
+       for ctx_name, route, lo, hi in (
+           ("ou_ctx", "zero", 0.2, 2.4),
+           ("bm_ctx", "analytic_bm_quadratic", -5.0, 5.0),
+           ("statevol_ctx", "resolvent_quadrature", 0.2, 2.4))
+       for attr in ("g", "dg")},
+    "expr.constant": _expr_case("sigma", ("x",), _grid(-1.0, 2.0)),
+    "expr.one_variable": _expr_case("delta*(m - x)", ("x",), _grid(-1.0, 2.0)),
+    "expr.ignored_variable": _expr_case(
+        "-c - lam*x", ("x", "y"), np.array([[1.0], [2.5]]),
+        np.array([[0.5, 0.75, 1.0]])),
+    "expr.two_variables": _expr_case(
+        "-c - lam*(x - y)", ("x", "y"), np.array([[1.0], [2.5]]),
+        np.array([[0.5, 0.75, 1.0]])),
+    "bm_quadratic_cost.value": _value_case("bm_ctx", "bm_scan", "value"),
+    "bm_quadratic_cost.derivative": _value_case("bm_ctx", "bm_scan",
+                                                "derivative"),
+    "ou_dividend.value": _value_case("ou_ctx", "ou_scan", "value"),
+    "ou_dividend.derivative": _value_case("ou_ctx", "ou_scan", "derivative",
+                                          QUADRATURE_REL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+def test_scalar_in_float_out_array_in_same_shape_out(case, request):
+    fn, args, rel = CONTRACT_CASES[case](request)
+    shape = np.broadcast_shapes(*(a.shape for a in args))
+    assert len(shape) == 2
+    out = fn(*args)
+    assert type(out) is np.ndarray
+    assert out.dtype == np.float64 and out.shape == shape
+    at = [np.broadcast_to(a, shape)[1, 2] for a in args]
+    for scalars in (at, [float(v) for v in at], [np.asarray(v) for v in at]):
+        one = fn(*scalars)
+        assert type(one) is float
+        assert one == pytest.approx(out[1, 2], rel=rel, abs=1e-300)
 
 
 def test_numeric_interior_anchor_required():

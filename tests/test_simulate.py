@@ -91,6 +91,16 @@ def test_default_worker_count(monkeypatch):
     assert _worker_count(5) == 1
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", "2"])
+def test_thread_count_from_environment(monkeypatch, value):
+    monkeypatch.setenv("IMPULSE_THREADS", value)
+    if value == "2":
+        assert _worker_count(5) == 2
+        return
+    with pytest.raises(SimulationError, match="IMPULSE_THREADS"):
+        _worker_count(5)
+
+
 def test_identical_policies_tie_exactly(bm_ctx, bm_scan):
     cfg = SimConfig(x0=0.0, dt=5e-3, horizon=70.0, n_paths=2000, seed=11)
     rep = policy_dominance(bm_ctx, bm_scan.policy, bm_scan.policy, cfg)
