@@ -223,12 +223,9 @@ def cmd_simulate(args):
         raise ConfigError(f"--x0 wants numbers, got {args.x0!r}") from None
     ctx = build_context(cfg.problem, solver)
 
-    rows = []
-    for x0 in x0s:
-        sim_cfg = SimConfig(x0=x0, dt=args.dt, horizon=args.horizon,
-                            n_paths=args.paths, seed=args.seed)
-        res = simulate_policy(ctx, policy, sim_cfg)
-        rows.append((x0, res))
+    sim_cfgs = [SimConfig(x0=x0, dt=args.dt, horizon=args.horizon,
+                          n_paths=args.paths, seed=args.seed) for x0 in x0s]
+    rows = [(c.x0, simulate_policy(ctx, policy, c)) for c in sim_cfgs]
 
     path = out / "estimates.csv"
     with open(path, "w") as fh:

@@ -320,15 +320,17 @@ class Expr:
 
     Immutable after construction; evaluation is pure, so instances can be
     shared freely between threads and vectorized over numpy arrays.
+    ``reads_all`` records at parse time whether the text refers to every
+    variable, so a one-variable ``Expr`` without it is a constant.
     """
 
-    __slots__ = ("_root", "variables", "source", "_reads_all")
+    __slots__ = ("_root", "variables", "source", "reads_all")
 
     def __init__(self, root, variables, source, reads_all):
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "variables", tuple(variables))
         object.__setattr__(self, "source", source)
-        object.__setattr__(self, "_reads_all", reads_all)
+        object.__setattr__(self, "reads_all", reads_all)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -343,7 +345,7 @@ class Expr:
                 f"expression over {self.variables} called with "
                 f"{len(args)} argument(s)")
         out = self._root.eval(dict(zip(self.variables, args)))
-        if not self._reads_all:
+        if not self.reads_all:
             full = np.empty(np.broadcast(*args).shape)
             full[...] = out
             out = full

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpulseError, SimulationError
+from .errors import SimulationError
 
 RNG_NAME = "pcg64"
 _CHUNK = 20_000
@@ -49,6 +49,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("x0", "dt", "horizon"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.horizon <= 0:
             raise SimulationError("dt and horizon must be positive")
         if self.n_paths < 1:
@@ -82,14 +86,9 @@ class SimResult:
 
 
 def _const_or_none(expr):
-    probe = np.array([-1.7, 0.3, 2.9])
-    try:
-        vals = expr(probe)
-    except ImpulseError:
-        return None
-    if np.all(vals == vals[0]):
-        return float(vals[0])
-    return None
+    """The value of a one-variable expression that reads no variable,
+    otherwise None."""
+    return None if expr.reads_all else expr(0.0)
 
 
 def _simulate_chunk(ctx, policy, cfg, n, rng):

@@ -296,6 +296,22 @@ def test_malformed_simulate_argument_exit_1(tmp_path, args, policy_text,
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--x0", "nan,inf"], "x0"),
+    (["--x0", "0.5,-inf"], "x0"),
+    (["--horizon", "inf"], "horizon"),
+    (["--dt", "nan"], "dt"),
+], ids=["x0_nan_inf", "x0_second_infinite", "horizon_inf", "dt_nan"])
+def test_non_finite_simulate_input_exit_1(tmp_path, args, named):
+    out = tmp_path / "s"
+    run = _run_cli("simulate", BM, "--band", "5:12", "--out", str(out),
+                   *args)
+    assert run.returncode == 1
+    assert run.stderr.startswith(f"simulation error: {named} must be finite")
+    assert "Traceback" not in run.stderr
+    assert not (out / "estimates.csv").exists()
+
+
 def test_simulate_from_policy_file(tmp_path):
     out = tmp_path / "run"
     assert main(["solve", BM, "--out", str(out)]) == 0

@@ -11,7 +11,9 @@ from scipy.sparse.linalg import spsolve
 
 from impulse_bands import (OracleError, concave_envelope, oracle,
                            value_iteration)
-from impulse_bands.checks import _brute_force_envelope
+from impulse_bands.checks import (_brute_force_envelope, _chord_triples,
+                                  _envelope_instances,
+                                  check_envelope_brute_force)
 from impulse_bands.oracle import (_Workspace, intervention_operator,
                                   make_grid, pinned_envelope)
 
@@ -49,7 +51,7 @@ def test_envelope_needs_increasing_abscissae():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(5, 80), st.integers(0, 2 ** 31 - 1))
+@given(st.integers(2, 80), st.integers(0, 2 ** 31 - 1))
 def test_envelope_matches_brute_force(n, seed):
     rng = np.random.default_rng(seed)
     ys = np.sort(rng.uniform(-4, 4, n)) + np.arange(n) * 1e-8
@@ -57,8 +59,27 @@ def test_envelope_matches_brute_force(n, seed):
     slow = brute_force_envelope(ys, vals)
     np.testing.assert_allclose(
         concave_envelope(ys, vals), slow, rtol=1e-10, atol=1e-10)
-    # the property suite's broadcast brute force does the same arithmetic
-    np.testing.assert_array_equal(_brute_force_envelope(ys, vals), slow)
+    # the property suite's triple kernel does the same arithmetic
+    np.testing.assert_array_equal(
+        _brute_force_envelope(ys, vals, _chord_triples(n)), slow)
+
+
+def test_envelope_check_reports_the_loop_reference_deviation():
+    worst = max(float(np.max(np.abs(concave_envelope(ys, vals)
+                                    - brute_force_envelope(ys, vals))))
+                for ys, vals in _envelope_instances(50, 60, 7))
+    check = check_envelope_brute_force()
+    assert check.passed
+    assert check.detail == f"max deviation {worst:.3e} over 50 instances"
+
+
+@pytest.mark.parametrize("n_points", [2, 3])
+def test_envelope_check_at_the_kernel_edges(n_points):
+    assert check_envelope_brute_force(n_instances=5, n_points=n_points).passed
+
+
+def test_envelope_check_without_instances_fails():
+    assert not check_envelope_brute_force(n_instances=0).passed
 
 
 def test_pinned_envelope_nondecreasing():

@@ -32,6 +32,14 @@ def test_config_validation(bm_ctx):
             x0=0, dt=1e-2, horizon=5.0, n_paths=10))
 
 
+def test_constant_drift_and_vol_read_from_the_parse():
+    cubic = parse_expr("(x+1.7)*(x-0.3)*(x-2.9)", ("x",))
+    assert cubic(1.0) != 0.0  # though it vanishes at x = -1.7, 0.3 and 2.9
+    assert _const_or_none(cubic) is None
+    assert _const_or_none(parse_expr("sigma", ("x",), {"sigma": 0.4})) == 0.4
+    assert _const_or_none(parse_expr("0", ("x",))) == 0.0
+
+
 def test_empty_policy_zero_reward_is_exactly_zero(no_intervention_ctx):
     res = simulate_policy(no_intervention_ctx, band(), SimConfig(
         x0=0.5, dt=1e-2, horizon=70.0, n_paths=500, seed=1))
