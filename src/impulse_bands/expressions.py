@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
+_FLOAT = np.dtype(float)
+
 _FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt", "abs")
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -337,13 +339,19 @@ class Expr:
 
     def __call__(self, *args):
         """A float when every argument is a scalar, otherwise a float array
-        of the arguments' broadcast shape.  An expression that reads every
-        variable gets that shape from its own arithmetic; any other is
-        broadcast to it here, into a new array."""
+        of the arguments' broadcast shape.  An argument that is neither a
+        float nor a float64 array (an integer array, say) is read as a
+        float array, so integer arithmetic never reaches the result.  An
+        expression that reads every variable gets the shape from its own
+        arithmetic; any other is broadcast to it here, into a new array."""
         if len(args) != len(self.variables):
             raise TypeError(
                 f"expression over {self.variables} called with "
                 f"{len(args)} argument(s)")
+        # numpy keeps one float64 descriptor, so identity is the cheap test
+        args = [a if isinstance(a, float) or (
+            type(a) is np.ndarray and a.dtype is _FLOAT)
+            else np.asarray(a, dtype=float) for a in args]
         out = self._root.eval(dict(zip(self.variables, args)))
         if not self.reads_all:
             full = np.empty(np.broadcast(*args).shape)

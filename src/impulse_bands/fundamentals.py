@@ -16,9 +16,9 @@ functions evaluated through the Hermite-function integral
 for nu < 0.  Everything else is integrated numerically, each branch once in
 the direction where it dominates, on the state (log u, u'/u), which never
 needs rescaling; alpha = 0 takes the same route.  Both the OU and the
-numeric pair read psi and phi from one kind of log-space Chebyshev table,
-built once over the pair window; the quadrature or the ODE solution prices
-its nodes and stays the exact evaluator of the derivatives.
+numeric pair read psi, phi and their derivatives from one kind of
+log-space Chebyshev table, built once over the pair window; the quadrature
+or the ODE solution prices its nodes and every point outside it.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def parabolic_cylinder(nu, z):
 _CHEB_DEGREE = 40
 _CHEB_TAIL_TOL = 1e-13      # last three log coefficients of an accepted piece
 _CHEB_MAX_DEPTH = 6         # halvings before a piece keeps the exact evaluator
-_CHEB_BLOCK = 2048          # points per barycentric block of a table read
+_CHEB_BLOCK = 512           # points per barycentric block of a table read
 _CHEB_NODES = np.cos(np.pi * np.arange(_CHEB_DEGREE + 1) / _CHEB_DEGREE)
 _CHEB_WEIGHTS = (-1.0) ** np.arange(_CHEB_DEGREE + 1)
 _CHEB_WEIGHTS[[0, -1]] *= 0.5
@@ -194,32 +194,61 @@ def _lobatto_transform(n):
 _CHEB_TAIL = _lobatto_transform(_CHEB_DEGREE)[-3:]
 
 
-def _barycentric(s, values):
-    """Interpolants through the rows of ``values`` at the Lobatto nodes,
+def _differentiation_matrix(n):
+    """d/ds on the n+1 Lobatto nodes (Trefethen, *Spectral Methods in
+    MATLAB*, ``cheb.m``), node differences by the sine identity so that
+    the pairs next to +-1 keep their digits."""
+    i = np.arange(n + 1)
+    c = np.where((i == 0) | (i == n), 2.0, 1.0) * (-1.0) ** i
+    # x_i - x_j = 2 sin(pi (i + j) / 2n) sin(pi (j - i) / 2n)
+    dx = 2.0 * np.sin(np.pi * (i[:, None] + i) / (2 * n)) \
+        * np.sin(np.pi * (i - i[:, None]) / (2 * n))
+    np.fill_diagonal(dx, 1.0)
+    dm = np.outer(c, 1.0 / c) / dx
+    np.fill_diagonal(dm, 0.0)
+    return dm
+
+
+_CHEB_DIFF = _differentiation_matrix(_CHEB_DEGREE)
+
+
+def _barycentric(s, *tables):
+    """Interpolants through the rows of each table at the Lobatto nodes,
     row i read at s[i] in [-1, 1] by the second barycentric formula (stable
-    on these nodes).  Row sums, not a matrix product, so that a point's
-    value does not depend on how many rows are read with it."""
-    diff = s[:, None] - _CHEB_NODES
-    hit = diff == 0.0
-    diff[hit] = 1.0
-    w = _CHEB_WEIGHTS / diff
-    out = (w * values).sum(axis=1) / w.sum(axis=1)
-    rows, cols = np.nonzero(hit)
-    out[rows] = values[rows, cols]
-    return out
+    on these nodes); one list entry per table.  Row sums, not a matrix
+    product, so that a point's value does not depend on how many rows are
+    read with it.  A point on a node makes its weight infinite and its
+    formula NaN, and takes the node's value instead."""
+    w = s[:, None] - _CHEB_NODES
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(_CHEB_WEIGHTS, w, out=w)
+        w_sum = w.sum(axis=1)
+        outs = [(w * values).sum(axis=1) / w_sum for values in tables]
+    hit = np.flatnonzero(~np.isfinite(w_sum))
+    if hit.size:
+        col = np.argmax(np.abs(w[hit]), axis=1)
+        for out, values in zip(outs, tables):
+            out[hit] = values[hit, col]
+    return outs
 
 
-def _log_chebyshev(exact, lo, hi):
-    """``exact`` read from a piecewise Chebyshev interpolant of its log.
+def _log_chebyshev(exact, d_exact, lo, hi):
+    """``exact`` and its derivative ``d_exact`` read from a piecewise
+    Chebyshev interpolant p of log(exact): (u, u') with u = exp(p) and
+    u' = exp(p) p'.
 
     The interpolant is built once on [lo, hi]: a piece starts as the whole
     interval, takes a degree-40 interpolant of log(exact) on its
     Chebyshev-Lobatto nodes and is accepted when the last three
     coefficients are at most 1e-13; otherwise it is halved.  A piece that
     still fails after _CHEB_MAX_DEPTH halvings, or whose nodes cannot be
-    priced, keeps ``exact``, as does every point outside [lo, hi]; with no
-    accepted piece ``exact`` prices every point.  All pieces of one depth
-    are priced in a single call of ``exact``.
+    priced, keeps ``exact`` and ``d_exact``, as does every point outside
+    [lo, hi]; with no accepted piece they price every point.  All pieces
+    of one depth are priced in a single call of ``exact``.  p' at the nodes
+    is the differentiation matrix applied once per piece at build, as the
+    sums of D_ij (p_j - p_i), which cancel the constant part of p exactly;
+    a read interpolates it on the same nodes, since the derivative of the
+    interpolant is a polynomial of lower degree.
 
     A read finds each point's piece by one search over the sorted piece
     starts and runs the barycentric formula on blocks of _CHEB_BLOCK
@@ -257,8 +286,11 @@ def _log_chebyshev(exact, lo, hi):
     sums, widths = starts + ends, ends - starts
     table = np.array([vals for _, _, vals in pieces]).reshape(
         len(pieces), _CHEB_DEGREE + 1)
+    # p' in x at the nodes: d/ds times ds/dx = 2 / width
+    d_table = (_CHEB_DIFF * (table[:, None, :] - table[:, :, None])).sum(
+        axis=2) * (2.0 / widths)[:, None]
 
-    def read(xs):
+    def read(xs, derivative):
         flat = xs.ravel()
         out = np.empty(flat.shape)
         k = np.searchsorted(starts, flat, side="right") - 1
@@ -269,13 +301,19 @@ def _log_chebyshev(exact, lo, hi):
             rows = idx[i:i + _CHEB_BLOCK]
             kr = k[rows]
             s = (2.0 * flat[rows] - sums[kr]) / widths[kr]
-            out[rows] = np.exp(_barycentric(s, table[kr]))
+            if derivative:
+                p, dp = _barycentric(s, table[kr], d_table[kr])
+                out[rows] = np.exp(p) * dp
+            else:
+                p, = _barycentric(s, table[kr])
+                out[rows] = np.exp(p)
         if idx.size < flat.size:
             rest = ~inside
-            out[rest] = exact(flat[rest])
+            out[rest] = (d_exact if derivative else exact)(flat[rest])
         return out.reshape(xs.shape)
 
-    return lambda x: scalar_or_array(read, x)
+    return (lambda x: scalar_or_array(read, x, False),
+            lambda x: scalar_or_array(read, x, True))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +332,7 @@ class FundamentalPair:
     range; every numeric evaluator raises outside it.  The boundary probes
     march no further than its finite ends.  Every evaluator gives a float
     for a scalar and a float array of the same shape for an array
-    (``scalar_or_array``); a tabulated psi or phi also gives a point the
+    (``scalar_or_array``); a tabulated evaluator also gives a point the
     same value in any batch.
     """
 
@@ -422,14 +460,13 @@ def _ou_pair(spec, delta, m, sigma0):
     hi = spec.hi if math.isfinite(spec.hi) else math.inf
     win_lo = lo if math.isfinite(lo) else m - 12.0 * sigma0
     win_hi = hi if math.isfinite(hi) else m + 12.0 * sigma0
-    # psi and phi are read from a table over the window, built once here;
-    # the derivatives are evaluated a handful of times per solve and stay
-    # on the quadrature
+    # psi, phi and their derivatives are read from a table over the
+    # window, built once here; the quadrature prices its nodes and every
+    # point outside it
+    psi_t, dpsi_t = _log_chebyshev(psi, dpsi, win_lo, win_hi)
+    phi_t, dphi_t = _log_chebyshev(phi, dphi, win_lo, win_hi)
     return FundamentalPair(
-        psi=_log_chebyshev(psi, win_lo, win_hi),
-        phi=_log_chebyshev(phi, win_lo, win_hi),
-        dpsi=lambda x: scalar_or_array(dpsi, x),
-        dphi=lambda x: scalar_or_array(dphi, x),
+        psi=psi_t, phi=phi_t, dpsi=dpsi_t, dphi=dphi_t,
         anchor=m, provenance="analytic_ou",
         window=(win_lo, win_hi), F_limit_lo=0.0 if not math.isfinite(lo) else None,
     )
@@ -593,12 +630,12 @@ def numeric_fundamentals(spec, c=None, tol=1e-8, window=None):
         psi, dpsi = (lambda x: u(x) / du_c), (lambda x: du(x) / du_c)
         phi, dphi = _log_branch(spec, ext_hi, ext_lo, 0.0, c, rtol)
 
-    # psi and phi are read from a table over the whole integration range,
-    # the ODE evaluators pricing its nodes; the derivatives stay on them
+    # psi, phi and their derivatives are read from a table over the whole
+    # integration range, the ODE evaluators pricing its nodes
+    psi, dpsi = _log_chebyshev(psi, dpsi, ext_lo, ext_hi)
+    phi, dphi = _log_chebyshev(phi, dphi, ext_lo, ext_hi)
     pair = FundamentalPair(
-        psi=_log_chebyshev(psi, ext_lo, ext_hi),
-        phi=_log_chebyshev(phi, ext_lo, ext_hi),
-        dpsi=dpsi, dphi=dphi,
+        psi=psi, phi=phi, dpsi=dpsi, dphi=dphi,
         anchor=c, provenance="numeric",
         window=(ext_lo, ext_hi), F_limit_lo=None,
     )

@@ -1,13 +1,10 @@
-"""Shared numerics: finite-difference step, scalar/array call, golden max."""
+"""Shared numerics: finite-difference step, scalar/array call, lockstep
+bracketed root-finding."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INVPHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 _FLOAT = np.dtype(float)
 
 
@@ -36,37 +33,70 @@ def scalar_or_array(fn, x, *args):
     return float(out[0]) if xs.ndim == 0 else out
 
 
-def golden_max_lanes(f, lo, hi, xtol, max_iter=160):
-    """Lockstep golden-section maximization over many independent lanes.
+def bracket_roots(f, lo, hi, ftol, xtol, max_iter=200):
+    """Lockstep bracketed root-finding over many independent lanes.
 
-    ``f(x, idx)`` evaluates lane ``idx[k]`` at ``x[k]`` for numpy arrays;
-    each lane has its own bracket.  Returns per-lane (x, f(x)).  Keeps the
-    number of vectorized evaluations at one per iteration, which matters
-    when a single evaluation is quadrature-priced.
+    ``f(x, idx)`` evaluates lane ``idx[k]`` at ``x[k]`` for numpy arrays and
+    returns a 2-D array: row 0 holds the function whose sign change is
+    sought, any further rows values carried to the result.  The first call
+    prices both ends of every bracket [lo, hi]; after it, each iteration is
+    one call over the lanes still open, which matters when a single
+    evaluation is expensive.
+
+    A lane steps by false position with the Illinois rule (the value at an
+    end kept for a second step in a row is halved), and bisects instead
+    when its bracket did not halve over its last two steps.  It stops once
+    |f| <= ftol at an end of its bracket, or the bracket is at most xtol
+    wide or too narrow to split in floating point; so a jump of f across
+    zero ends at the jump, within xtol.  Both tolerances may be per lane.
+
+    Returns (x, rows): each lane's bracket end of smaller |f| and f's rows
+    there.  A lane whose bracket shows no sign change, f of one sign at
+    both ends, is not iterated, and a lane at which f turns NaN stops; both
+    come back as NaN in x and in every row.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    all_idx = np.arange(lo.size)
-    h = hi - lo
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1 = f(x1, all_idx)
-    f2 = f(x2, all_idx)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    n = lo.size
+    ends = f(np.concatenate([lo, hi]), np.tile(np.arange(n), 2))
+    at_lo, at_hi = ends[:, :n].copy(), ends[:, n:].copy()
+    f_lo, f_hi = at_lo[0], at_hi[0]      # views, updated with the rows
+    ftol = np.broadcast_to(np.asarray(ftol, dtype=float), lo.shape)
     xtol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
+
+    failed = ~(np.sign(f_lo) * np.sign(f_hi) <= 0.0)   # none, or NaN
+    w_lo, w_hi = f_lo.copy(), f_hi.copy()   # Illinois-weighted values
+    kept = np.zeros(n, dtype=int)        # end kept last step: -1 lo, 1 hi
+    widths = [np.full(n, np.inf)] * 2 + [hi - lo]   # two steps ago .. now
     for _ in range(max_iter):
-        act = np.flatnonzero(h > xtol)
+        mid = 0.5 * (lo + hi)
+        open_ = ~failed & (np.minimum(np.abs(f_lo), np.abs(f_hi)) > ftol) \
+            & (hi - lo > xtol) & (lo < mid) & (mid < hi)
+        act = np.flatnonzero(open_)
         if not act.size:
             break
-        to_left = f1[act] >= f2[act]
-        left, right = act[to_left], act[~to_left]
-        hi[left], x2[left], f2[left] = x2[left], x1[left], f1[left]
-        lo[right], x1[right], f1[right] = x1[right], x2[right], f2[right]
-        h[act] = hi[act] - lo[act]
-        x1[left] = lo[left] + _INVPHI2 * h[left]
-        x2[right] = lo[right] + _INVPHI * h[right]
-        vals = f(np.concatenate([x1[left], x2[right]]),
-                 np.concatenate([left, right]))
-        f1[left], f2[right] = vals[:left.size], vals[left.size:]
-    xs = np.where(f1 >= f2, x1, x2)
-    fs = np.maximum(f1, f2)
-    return xs, fs
+        a, b, mid = lo[act], hi[act], mid[act]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - w_hi[act] * (b - a) / (w_hi[act] - w_lo[act])
+        bisect = ~((x > a) & (x < b)) | (widths[2][act] > 0.5 * widths[0][act])
+        x = np.where(bisect, mid, x)
+        rows = f(x, act)
+        fx = rows[0]
+        failed[act[np.isnan(fx)]] = True
+        # x replaces the end whose sign it shares
+        to_lo = np.sign(fx) == np.sign(f_lo[act])
+        i_lo, i_hi = act[to_lo], act[~to_lo]
+        lo[i_lo], at_lo[:, i_lo], w_lo[i_lo] = x[to_lo], rows[:, to_lo], \
+            fx[to_lo]
+        hi[i_hi], at_hi[:, i_hi], w_hi[i_hi] = x[~to_lo], rows[:, ~to_lo], \
+            fx[~to_lo]
+        w_hi[i_lo[kept[i_lo] == 1]] *= 0.5
+        w_lo[i_hi[kept[i_hi] == -1]] *= 0.5
+        kept[i_lo], kept[i_hi] = 1, -1
+        widths = widths[1:] + [hi - lo]
+    use_lo = np.abs(f_lo) < np.abs(f_hi)
+    x = np.where(use_lo, lo, hi)
+    rows = np.where(use_lo, at_lo, at_hi)
+    x[failed] = np.nan
+    rows[:, failed] = np.nan
+    return x, rows

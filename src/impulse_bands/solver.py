@@ -7,18 +7,21 @@ tangentially at the trigger ``b`` determines the slope
     beta_vm(b) = [kbar(b, a) - D (phi(b) - phi(a))] / [eta(b) - eta(a)],
     eta = psi - F_lo * phi,
 
-whose interior maxima over b are exactly the tangency roots, so stage one
-is solved by maximizing beta_vm.  Stage two maximizes beta(a) over
-targets; near-ties produce multi-band policies.  The module constants
-``X_TOL``, ``A_REFINE_TOL`` and ``BAND_TIE_REL`` fix both searches' tolerances
-and the band tie rule.  A gamma-parameterized
-stopping route (the steepest pin chord of the stopping problem, and its
-fixed point in closed form) reaches the same fixed point independently and
-carries the contraction and uniqueness properties exercised by the test
-suite.
+whose interior maxima over b are exactly the tangency roots: the zeros of
+beta deta(b) + D dphi(b) - d kbar(b, a)/db.  Stage one finds them inside
+the brackets the trigger grid gives.  Stage two maximizes beta*(a) over
+targets through its first-order condition: by the envelope theorem
+d beta*/da has the sign of d kbar(b, a)/da + D dphi(a) + beta deta(a) at
+the best trigger b of a.  Near-ties produce multi-band policies.  The
+module constants ``X_TOL``, ``B_TOL``, ``A_REFINE_TOL`` and
+``BAND_TIE_REL`` fix both root-finds' tolerances and the band tie rule.  A
+gamma-parameterized stopping route (the steepest pin chord of the stopping
+problem, and its fixed point in closed form) reaches the same fixed point
+independently and carries the contraction and uniqueness properties
+exercised by the test suite.
 
-All heavy refinement runs in lockstep over candidate lanes so that pairs
-whose evaluation is quadrature-priced (the mean-reverting catalog) are hit
+Both root-finds run in lockstep over candidate lanes, one vector
+evaluation per iteration, so that pairs whose evaluation is costly are hit
 with a handful of vectorized calls rather than thousands of scalar ones.
 """
 
@@ -31,14 +34,15 @@ import numpy as np
 
 from .errors import SolverError
 from .model import BandPolicy
-from .numerics import central_diff, golden_max_lanes, scalar_or_array
+from .numerics import bracket_roots, central_diff, scalar_or_array
 from .oracle import make_grid
-from .transform import concavity_profile, finiteness_check
+from .transform import concavity_profile, finiteness_check, right_march
 
 _EXPECTED_PATTERNS = ("concave", "convex_concave", "concave_convex_concave")
 
-X_TOL = 1e-9          # relative trigger tolerance of stage one
-A_REFINE_TOL = 1e-7   # relative target tolerance of stage two
+X_TOL = 1e-10         # relative first-order residual at which both stages stop
+B_TOL = 1e-12         # relative trigger bracket at which stage one stops short
+A_REFINE_TOL = 1e-7   # relative target bracket at which stage two stops short
 BAND_TIE_REL = 1e-4   # a target within this share of beta* adds a band
 
 
@@ -163,17 +167,35 @@ def _chord_slope(ctx, b, a, at_b, at_a):
     return (kab - ctx.D * (phi_b - phi_a)) / (eta_b - eta_a)
 
 
+def _tangency_residual(ctx, b, a, beta):
+    """beta deta(b) + D dphi(b) - d kbar(b, a)/db relative to
+    |beta deta(b)| + |d kbar/db|: zero where the line of slope beta touches
+    the shifted reward at the trigger b, of the sign of -d beta_vm/db.
+    The central difference of kbar keeps it consistent with a
+    piecewise-linear resolvent g."""
+    dphi = ctx.pair.dphi(b)
+    deta = ctx.pair.dpsi(b) - ctx.F_lo * dphi
+    dkb = central_diff(lambda x: ctx.kbar(x, a), b)
+    return (beta * deta + ctx.D * dphi - dkb) \
+        / (np.abs(beta * deta) + np.abs(dkb) + 1e-300)
+
+
 def _stage_roots(ctx, a_vec, workspace=None):
     """All refined tangency roots (b, beta) for each target in a_vec.
 
-    Returns a list (one entry per target) of sorted (b, beta) tuples plus a
-    per-target flag telling whether the chord slope was still rising at the
-    truncation edge.
+    Every interior local maximum of the chord slope on the trigger grid
+    brackets a sign change of the tangency residual between its two grid
+    neighbours; the roots are found there in lockstep.  Returns a list (one
+    entry per target) of sorted (b, beta) tuples, a per-target flag telling
+    whether the chord slope was still rising at the truncation edge, a flag
+    telling whether the target has three valid grid triggers, the best grid
+    slope, and the per-target count of grid maxima whose bracket showed no
+    sign change (dropped: no tangency was found there).
     """
     ws = workspace or _ScanWorkspace(ctx)
     a_vec = np.atleast_1d(np.asarray(a_vec, dtype=float))
     span = ctx.window[1] - ctx.window[0]
-    gap = max(1e-3 * span / ws.b_grid.size, 10 * X_TOL)
+    gap = 1e-3 * span / ws.b_grid.size
 
     at_a = _chord_terms(ctx, a_vec)
     bs = ws.b_grid
@@ -198,47 +220,46 @@ def _stage_roots(ctx, a_vec, workspace=None):
                         -np.inf)
     edge_flag = valid_any & (j_best >= bs.size - 2)
 
-    def beta_lanes(b, idx):
+    def residual_lanes(b, idx):
         lane = rows[idx]
-        return _chord_slope(ctx, b, a_vec[lane], _chord_terms(ctx, b),
+        a = a_vec[lane]
+        beta = _chord_slope(ctx, b, a, _chord_terms(ctx, b),
                             [t[lane] for t in at_a])
+        return np.stack([_tangency_residual(ctx, b, a, beta), beta])
 
     roots = [[] for _ in range(a_vec.size)]
+    unbracketed = np.zeros(a_vec.size, dtype=int)
     if rows.size:
-        lo_b = bs[np.maximum(cols - 1, 0)]
-        hi_b = bs[np.minimum(cols + 1, bs.size - 1)]
-        xtol = X_TOL * np.maximum(1.0, np.abs(bs[cols]))
-        b_ref, beta_ref = golden_max_lanes(beta_lanes, lo_b, hi_b, xtol)
-        for k in range(rows.size):
+        b_tol = B_TOL * np.maximum(1.0, np.abs(bs[cols]))
+        b_ref, (_, beta_ref) = bracket_roots(
+            residual_lanes, bs[cols - 1], bs[cols + 1], X_TOL, b_tol)
+        found = np.isfinite(b_ref)
+        np.add.at(unbracketed, rows[~found], 1)
+        for k in np.flatnonzero(found):
             roots[rows[k]].append((float(b_ref[k]), float(beta_ref[k])))
 
     merged = []
     for i in range(a_vec.size):
-        rs = sorted(roots[i])
         out = []
-        for b_star, beta_star in rs:
+        for b_star, beta_star in sorted(roots[i]):
             if out and abs(b_star - out[-1][0]) \
-                    <= 50 * X_TOL * max(1.0, abs(b_star)):
+                    <= 50 * B_TOL * max(1.0, abs(b_star)):
                 if beta_star > out[-1][1]:
                     out[-1] = (b_star, beta_star)
             else:
                 out.append((b_star, beta_star))
         merged.append(out)
-    return merged, edge_flag, valid_any, row_best
+    return merged, edge_flag, valid_any, row_best, unbracketed
 
 
 def _stage_result(ctx, a, roots):
     roots = sorted(roots, key=lambda t: -t[1])
     b_best, beta_best = roots[0]
-    # central_diff's step is a numpy scalar, and so is its result
-    dkb = float(central_diff(lambda x: ctx.kbar(x, a), b_best))
-    deta = ctx.deta(b_best)
-    resid = beta_best * deta + ctx.D * ctx.pair.dphi(b_best) - dkb
-    scale = abs(beta_best * deta) + abs(dkb) + 1e-300
     multi = len(roots) > 1 and roots[1][1] >= beta_best * (1 - 1e-3)
     return StageResult(
         a=a, b=b_best, beta=beta_best,
-        gamma=ctx.gamma(a, beta_best), tangency_residual=resid / scale,
+        gamma=ctx.gamma(a, beta_best),
+        tangency_residual=float(_tangency_residual(ctx, b_best, a, beta_best)),
         n_tangency_roots=len(roots), multi_trigger=bool(multi),
         roots=tuple(roots))
 
@@ -246,14 +267,16 @@ def _stage_result(ctx, a, roots):
 def tangency_solve(ctx, a, workspace=None):
     """Trigger b(a), slope beta(a), and fixed point for one target.
 
-    Scans the chord slope over trigger candidates, refines every interior
-    local maximum by golden section to the x tolerance, and reports all
-    tangency roots; the returned trigger is the global maximizer.  Raises
+    Scans the chord slope over trigger candidates, finds the tangency root
+    inside the bracket of every interior local maximum to the residual
+    tolerance ``X_TOL``, and reports all tangency roots; the returned
+    trigger is the global maximizer.  Raises
     :class:`NoIntervention` when no trigger improves on doing nothing and
     :class:`SolverError` when the maximum sits on the truncation edge.
     """
     a = float(a)
-    roots, edge, valid, row_best = _stage_roots(ctx, [a], workspace=workspace)
+    roots, edge, valid, row_best, _ = _stage_roots(ctx, [a],
+                                                   workspace=workspace)
     if not valid[0] or row_best[0] <= 0.0:
         raise NoIntervention
     if edge[0]:
@@ -357,9 +380,22 @@ def _target_grid(ctx):
 
 
 def _interior_best(roots, edge, valid):
-    """Best refined slope per target; -inf without an interior tangency."""
-    return np.array([max(b for _, b in r) if v and not e and r else -np.inf
-                     for r, e, v in zip(roots, edge, valid)])
+    """(b, beta) of the best refined root per target; (nan, -inf) without
+    an interior tangency."""
+    best = [max(r, key=lambda root: root[1]) if v and not e and r
+            else (math.nan, -math.inf) for r, e, v in zip(roots, edge, valid)]
+    return np.array(best).reshape(-1, 2).T
+
+
+def _envelope_slope(ctx, b, a, beta):
+    """d kbar(b, a)/da + D dphi(a) + beta deta(a) relative to
+    |d kbar/da| + |beta deta(a)|: by the envelope theorem of the sign of
+    d beta*/da at a target a whose best trigger b has slope beta."""
+    dphi = ctx.pair.dphi(a)
+    deta = ctx.pair.dpsi(a) - ctx.F_lo * dphi
+    dka = central_diff(lambda y: ctx.kbar(b, y), a)
+    return (dka + ctx.D * dphi + beta * deta) \
+        / (np.abs(dka) + np.abs(beta * deta) + 1e-300)
 
 
 def scan_slopes(ctx):
@@ -368,15 +404,21 @@ def scan_slopes(ctx):
     targets = _target_grid(ctx)
 
     warnings = []
+    march = right_march(ctx)
     for a in targets[:: max(1, targets.size // 5)]:
-        fin = finiteness_check(ctx, float(a))
+        fin = finiteness_check(ctx, float(a), march)
         if not fin.finite:
             raise SolverError(
                 f"finiteness check failed at a={a}: transformed reward has "
                 "unbounded slope at the right boundary")
 
-    roots, edge, valid, row_best = _stage_roots(ctx, targets, workspace=ws)
-    best = _interior_best(roots, edge, valid)
+    roots, edge, valid, row_best, unbracketed = _stage_roots(
+        ctx, targets, workspace=ws)
+    if unbracketed.any():
+        warnings.append(
+            f"{int(unbracketed.sum())} trigger grid maxima showed no sign "
+            "change of the tangency residual and were dropped")
+    _, best = _interior_best(roots, edge, valid)
     betas = np.where((best > 0.0) & np.isfinite(best), best, np.nan)
     edge_best = np.max(row_best[valid & edge & (row_best > 0.0)],
                        initial=-math.inf)
@@ -390,7 +432,7 @@ def scan_slopes(ctx):
             policy=policy, stages=(), scan_a=targets, scan_beta=betas,
             no_intervention=True, warnings=tuple(warnings))
 
-    # local maxima of beta(a), refined in lockstep
+    # local maxima of beta(a): the zeros of d beta*/da, found in lockstep
     tv = targets[finite]
     bv = betas[finite]
     pad = np.concatenate([[-math.inf], bv, [-math.inf]])
@@ -398,11 +440,20 @@ def scan_slopes(ctx):
     lanes_lo = tv[np.maximum(pos - 1, 0)]
     lanes_hi = tv[np.minimum(pos + 1, tv.size - 1)]
 
-    def beta_at(a_arr, _idx):
-        return _interior_best(*_stage_roots(ctx, a_arr, workspace=ws)[:3])
+    def envelope_lanes(a, _idx):
+        b, beta = _interior_best(*_stage_roots(ctx, a, workspace=ws)[:3])
+        with np.errstate(invalid="ignore"):
+            return np.stack([_envelope_slope(ctx, b, a, beta), beta])
 
-    xtol = A_REFINE_TOL * np.maximum(1.0, np.abs(tv[pos]))
-    a_ref, beta_ref = golden_max_lanes(beta_at, lanes_lo, lanes_hi, xtol)
+    a_tol = A_REFINE_TOL * np.maximum(1.0, np.abs(tv[pos]))
+    a_ref, (_, beta_ref) = bracket_roots(envelope_lanes, lanes_lo, lanes_hi,
+                                         X_TOL, a_tol)
+    coarse = np.isnan(a_ref)
+    if coarse.any():
+        a_ref[coarse], beta_ref[coarse] = tv[pos[coarse]], bv[pos[coarse]]
+        warnings.append(
+            f"{int(coarse.sum())} target(s) kept at the resolution of the "
+            "target grid: d beta*/da shows no sign change around them")
 
     keep = np.isfinite(beta_ref) & (beta_ref > 0.0)
     if not np.any(keep):

@@ -363,60 +363,94 @@ class FinitenessResult:
     estimates: tuple
 
 
-def _right_probes(ctx, a):
-    """Ratio-2 probe sequence toward the right boundary.
-
-    An infinite boundary is probed by marching past the truncation edge
-    with doubling distances, as far as the pair and the reward expressions
-    stay evaluable; a finite endpoint is approached from inside.
-    """
-    x_lo, x_hi = ctx.window
-    hi = ctx.problem.diffusion.hi
-    if math.isfinite(hi):
-        start = max(float(a), 0.5 * (x_lo + x_hi))
-        cand = _march(hi, start, toward_base=True)
-    else:
-        span = x_hi - x_lo
-        limit = x_hi + 8.0 * span
-        pw_hi = ctx.pair.window[1]
-        if ctx.pair.provenance == "numeric" and math.isfinite(pw_hi):
-            limit = min(limit, pw_hi - 1e-9 * span)
-        cand = _march(x_hi, limit, toward_base=False)
-    cand = cand[cand > a]
-    keep = []
-    for x in cand:
+def _priced(fns, xs):
+    """xs and each of fns on it, cut before the first point at which one
+    raises ImpulseError: one call per function, or point by point when
+    that call raises."""
+    try:
+        return xs, [fn(xs) for fn in fns]
+    except ImpulseError:
+        pass
+    n = 0
+    for x in xs:
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi = ctx.pair.phi(x)
-                psi = ctx.pair.psi(x)
-                kb = ctx.kbar(x, a)
+            for fn in fns:
+                fn(x)
         except ImpulseError:
             break
-        if not (math.isfinite(phi) and phi > 0 and math.isfinite(psi)):
-            break
-        if not math.isfinite(kb):
-            # the reward itself blows past floating range: treat the last
-            # evaluable slope as already divergent
-            keep.append(x)
-            break
-        keep.append(x)
-    return np.asarray(keep, dtype=float)
+        n += 1
+    return xs[:n], [fn(xs[:n]) for fn in fns]
 
 
-def finiteness_check(ctx, a):
+def _priced_march(ctx, cand):
+    """(xs, phi, psi) on the march cand, up to the first point where the
+    pair stops being evaluable."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, (phi, psi) = _priced((ctx.pair.phi, ctx.pair.psi), cand)
+    ok = np.isfinite(phi) & (phi > 0) & np.isfinite(psi)
+    n = ok.size if ok.all() else int(np.argmin(ok))
+    return xs[:n], phi[:n], psi[:n]
+
+
+def right_march(ctx):
+    """Ratio-2 probe march toward an infinite right boundary, with phi and
+    psi on it: (xs, phi, psi), or None at a finite endpoint.
+
+    The march passes the truncation edge with doubling distances, as far
+    as the pair stays evaluable.  It does not depend on the target, so one
+    march serves ``finiteness_check`` at every target.  A finite endpoint
+    is approached from max(a, window midpoint) instead, a march of its own
+    for each target a.
+    """
+    if math.isfinite(ctx.problem.diffusion.hi):
+        return None
+    x_lo, x_hi = ctx.window
+    span = x_hi - x_lo
+    limit = x_hi + 8.0 * span
+    pw_hi = ctx.pair.window[1]
+    if ctx.pair.provenance == "numeric" and math.isfinite(pw_hi):
+        limit = min(limit, pw_hi - 1e-9 * span)
+    return _priced_march(ctx, _march(x_hi, limit, toward_base=False))
+
+
+def _right_probes(ctx, a, march):
+    """The probes of ``march`` right of the target a, with phi, psi and
+    kbar(x, a) there, ending at the first probe where kbar stops being
+    evaluable, or just after the first where it is not finite."""
+    xs, phi, psi = march
+    right = xs > a
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, (kb,) = _priced((lambda x: ctx.kbar(x, a),), xs[right])
+    # the reward itself blows past floating range: the last evaluable
+    # slope counts as already divergent
+    bad = ~np.isfinite(kb)
+    n = int(np.argmax(bad)) + 1 if bad.any() else kb.size
+    return xs[:n], phi[right][:n], psi[right][:n], kb[:n]
+
+
+def finiteness_check(ctx, a, march=None):
     """Estimate the limiting slope of kbar/phi against F at the right edge.
 
     The value function is finite iff this left-difference-quotient limsup
     stays bounded; infinity is declared when the probe slopes grow without
-    bound (or overflow) across the last probe decades.
+    bound (or overflow) across the last probe decades.  ``march`` is
+    ``right_march(ctx)``, priced once for several targets at an infinite
+    boundary; without one the march is priced here.
     """
-    probes = _right_probes(ctx, a)
+    a = float(a)
+    x_lo, x_hi = ctx.window
+    if march is None:
+        march = right_march(ctx) or _priced_march(ctx, _march(
+            ctx.problem.diffusion.hi, max(a, 0.5 * (x_lo + x_hi)),
+            toward_base=True))
+    probes, phi, psi, kb = _right_probes(ctx, a, march)
     if probes.size < 4:
-        x_lo, x_hi = ctx.window
-        probes = np.linspace(0.5 * (float(a) + x_hi), x_hi, 6)
+        probes = np.linspace(0.5 * (a + x_hi), x_hi, 6)
+        phi, psi = ctx.pair.phi(probes), ctx.pair.psi(probes)
+        kb = ctx.kbar(probes, a)
     with np.errstate(over="ignore", invalid="ignore"):
-        H = ctx.kbar(probes, float(a)) / ctx.pair.phi(probes)
-        slopes = np.diff(H) / np.diff(ctx.pair.F(probes))
+        H = kb / phi
+        slopes = np.diff(H) / np.diff(psi / phi)
     if not np.all(np.isfinite(slopes)):
         return FinitenessResult(finite=False, q=None, estimates=tuple(slopes))
     tail = slopes[-4:]

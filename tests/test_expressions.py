@@ -173,3 +173,23 @@ def test_roundtrip_print_parse(text, x, y):
     except ExprEvalError:
         return
     assert reparsed(x, y) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("text, variables, args", [
+    ("x", ("x",), (np.arange(3),)),
+    ("x^2 - 3*x", ("x",), (np.arange(-2, 3, dtype=np.int32),)),
+    ("abs(x - y)", ("x", "y"), (np.arange(3), 1)),
+    ("x*y", ("x", "y"), (np.arange(6).reshape(2, 3), np.arange(3))),
+    ("2^x", ("x",), (np.array([-1, 0, 1]),)),
+], ids=["identity", "polynomial_int32", "two_variables", "broadcast",
+        "negative_integer_power"])
+def test_integer_arguments_give_float_arrays(text, variables, args):
+    e = parse_expr(text, variables)
+    out = e(*args)
+    assert type(out) is np.ndarray and out.dtype == np.float64
+    assert out.shape == np.broadcast_shapes(*(np.shape(a) for a in args))
+    as_float = e(*(np.asarray(a, dtype=float) for a in args))
+    assert out.tobytes() == as_float.tobytes()
+    # an integer scalar reads as the float it equals
+    one = e(*(int(np.ravel(a)[-1]) for a in args))
+    assert type(one) is float and one == as_float.ravel()[-1]

@@ -1,123 +1,148 @@
-"""golden_max_lanes against the masked loop it replaced: same result bits,
-same evaluation sequence."""
+"""bracket_roots: lockstep bracketed root-finding over lanes."""
 
 import numpy as np
 
-from impulse_bands.numerics import _INVPHI, _INVPHI2, golden_max_lanes
+from impulse_bands.numerics import bracket_roots
 
 
-def _reference_golden_max_lanes(f, lo, hi, xtol, max_iter=160):
-    """The boolean-mask golden loop, kept as the reference."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    n = lo.size
-    all_idx = np.arange(n)
-    h = hi - lo
-    x1 = lo + _INVPHI2 * h
-    x2 = lo + _INVPHI * h
-    f1 = f(x1, all_idx)
-    f2 = f(x2, all_idx)
-    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), lo.shape)
-    for _ in range(max_iter):
-        active = h > xtol
-        if not np.any(active):
-            break
-        left = active & (f1 >= f2)
-        right = active & ~left
-        if np.any(left):
-            hi[left] = x2[left]
-            x2[left] = x1[left]
-            f2[left] = f1[left]
-            h[left] = hi[left] - lo[left]
-            x1[left] = lo[left] + _INVPHI2 * h[left]
-        if np.any(right):
-            lo[right] = x1[right]
-            x1[right] = x2[right]
-            f1[right] = f2[right]
-            h[right] = hi[right] - lo[right]
-            x2[right] = lo[right] + _INVPHI * h[right]
-        query = np.concatenate([x1[left], x2[right]])
-        idx = np.concatenate([all_idx[left], all_idx[right]])
-        if query.size:
-            vals = f(query, idx)
-            f1[left] = vals[: int(np.sum(left))]
-            f2[right] = vals[int(np.sum(left)):]
-    xs = np.where(f1 >= f2, x1, x2)
-    fs = np.maximum(f1, f2)
-    return xs, fs
-
-
-def _recorded(search, g, lo, hi, xtol):
-    """search(f, lo, hi, xtol) with f = g recording every (x, idx) call."""
+def _recorded(g, lo, hi, ftol, xtol):
+    """bracket_roots on f(x, idx) = [g(x, idx), x], recording each call."""
     calls = []
 
     def f(x, idx):
         calls.append((x.copy(), idx.copy()))
-        return g(x, idx)
+        return np.stack([g(x, idx), x])
 
-    xs, fs = search(f, lo, hi, xtol)
-    return xs, fs, calls
-
-
-def _assert_same(g, lo, hi, xtol):
-    got = _recorded(golden_max_lanes, g, lo, hi, xtol)
-    ref = _recorded(_reference_golden_max_lanes, g, lo, hi, xtol)
-    assert got[0].tobytes() == ref[0].tobytes()
-    assert got[1].tobytes() == ref[1].tobytes()
-    assert len(got[2]) == len(ref[2])
-    for (x, idx), (x_ref, idx_ref) in zip(got[2], ref[2]):
-        assert x.tobytes() == x_ref.tobytes()
-        assert idx.tobytes() == idx_ref.tobytes()
-    return got
+    x, rows = bracket_roots(f, lo, hi, ftol, xtol)
+    return x, rows, calls
 
 
 def _brackets(seed, n):
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-10.0, 10.0, n)
-    return lo, lo + rng.uniform(0.1, 5.0, n)
+    return rng, lo, lo + rng.uniform(0.1, 5.0, n)
 
 
-def test_exact_ties():
-    lo, hi = _brackets(1, 7)
-    _assert_same(lambda x, idx: np.zeros_like(x), lo, hi, 1e-9)
-
-
-def test_nan_lane():
-    lo, hi = _brackets(2, 5)
+def test_each_lane_meets_its_residual_tolerance():
+    rng, lo, hi = _brackets(1, 200)
+    root = lo + rng.uniform(0.05, 0.95, lo.size) * (hi - lo)
+    scale = rng.uniform(0.01, 100.0, lo.size)
+    ftol = 10.0 ** rng.uniform(-12.0, -6.0, lo.size)
 
     def g(x, idx):
-        return np.where(idx == 3, np.nan, -(x - 0.5 * (lo + hi)[idx]) ** 2)
+        # smooth, monotone and of varied curvature: a cubic through the root
+        d = x - root[idx]
+        return scale[idx] * (d + 0.5 * d ** 3)
 
-    xs, fs, _ = _assert_same(g, lo, hi, 1e-8)
-    assert np.isnan(fs[3])
-    assert np.all(np.isfinite(np.delete(fs, 3)))
-
-
-def test_lane_narrower_than_its_tolerance():
-    lo, hi = _brackets(3, 4)
-    hi[2] = lo[2] + 1e-12
-    _, _, calls = _assert_same(lambda x, idx: np.sin(x), lo, hi, 1e-9)
-    # lane 2 is evaluated at its two initial probes only
-    assert all(2 not in idx for _, idx in calls[2:])
+    x, rows, _ = _recorded(g, lo, hi, ftol, 0.0)
+    assert np.all((lo <= x) & (x <= hi))
+    assert np.all(np.abs(rows[0]) <= ftol)
+    # the carried rows are f's rows at the returned point
+    assert rows[0].tobytes() == g(x, np.arange(lo.size)).tobytes()
+    assert rows[1].tobytes() == x.tobytes()
 
 
-def test_per_lane_tolerances():
-    lo, hi = _brackets(4, 6)
-    xtol = np.array([1e-3, 1e-6, 1e-9, 1e-1, 1e-12, 1e-4])
-    _assert_same(lambda x, idx: np.cos(x + idx), lo, hi, xtol)
-
-
-def test_random_concave_quadratics():
-    rng = np.random.default_rng(5)
-    n = 200
-    lo, hi = _brackets(6, n)
-    peak = lo + rng.uniform(0.0, 1.0, n) * (hi - lo)
-    curv = rng.uniform(0.01, 100.0, n)
-    xtol = 10.0 ** rng.uniform(-10.0, -4.0, n)
+def test_one_vector_call_per_iteration():
+    rng, lo, hi = _brackets(2, 50)
+    root = lo + rng.uniform(0.1, 0.9, lo.size) * (hi - lo)
 
     def g(x, idx):
-        return -curv[idx] * (x - peak[idx]) ** 2
+        return np.tanh(x - root[idx])
 
-    xs, fs, _ = _assert_same(g, lo, hi, xtol)
-    assert np.all(np.abs(xs - peak) <= xtol)
-    assert np.array_equal(fs, g(xs, np.arange(n)))
+    _, rows, calls = _recorded(g, lo, hi, 1e-12, 0.0)
+    assert np.all(np.abs(rows[0]) <= 1e-12)
+    # the first call prices both ends of every bracket
+    x0, idx0 = calls[0]
+    assert x0.tobytes() == np.concatenate([lo, hi]).tobytes()
+    assert idx0.tobytes() == np.tile(np.arange(lo.size), 2).tobytes()
+    # then one call per iteration, each lane at most once, and a lane once
+    # done is never priced again
+    done = set()
+    for x, idx in calls[1:]:
+        assert np.unique(idx).size == idx.size
+        assert not done & set(idx.tolist())
+        done |= set(range(lo.size)) - set(idx.tolist())
+    # superlinear, not bisection: 1e-12 from a bracket of up to 5 by
+    # bisection alone would take about 42 calls
+    assert len(calls) <= 15
+
+
+def test_jump_converges_to_the_jump():
+    # d beta*/da at a kinked maximum of beta* = min(b1, b2), b1 rising and
+    # b2 falling: the derivative jumps from b1' > 0 to b2' < 0 where they
+    # cross, and the root is the kink
+    a_kink = 0.7318
+
+    def b1(a):
+        return 1.0 + 0.4 * (a - a_kink) - (a - a_kink) ** 2
+
+    def b2(a):
+        return 1.0 - 0.9 * (a - a_kink) - 0.5 * (a - a_kink) ** 2
+
+    def g(a, idx):
+        return np.where(b1(a) <= b2(a), 0.4 - 2.0 * (a - a_kink),
+                        -0.9 - (a - a_kink))
+
+    lo, hi = np.array([0.5, 0.7]), np.array([1.0, 0.74])
+    xtol = np.array([1e-7, 1e-10])
+    x, rows, calls = _recorded(g, lo, hi, 1e-12, xtol)
+    assert np.all(np.abs(x - a_kink) <= xtol)
+    # |f| stays at the jump's size, so the bracket width ends the lane; the
+    # bisection fallback keeps that to about two steps per halving
+    assert np.all(np.abs(rows[0]) > 0.3)
+    assert len(calls) <= 1 + 2 * 40
+
+
+def test_upward_jump_is_not_a_root():
+    # + at lo and - at hi: every step keeps that, so the lane ends where f
+    # falls through zero (a maximum of its integral), never at the upward
+    # jump of a kinked minimum in between
+    def g(a, idx):
+        return np.where(a < 0.6, 0.3 - a, 0.9 - a)
+
+    x, rows, _ = _recorded(g, np.array([0.0]), np.array([1.0]), 1e-13, 0.0)
+    assert min(abs(x[0] - 0.3), abs(x[0] - 0.9)) <= 1e-13
+    assert abs(rows[0][0]) <= 1e-13
+
+
+def test_lane_without_sign_change_comes_back_nan():
+    _, lo, hi = _brackets(3, 6)
+    root = 0.5 * (lo + hi)
+    bad = np.array([1, 4])
+
+    def g(x, idx):
+        d = x - root[idx]
+        # lane 1 has no root, lane 4 two, so neither changes sign
+        return np.where(idx == 1, 1.0 + d * d,
+                        np.where(idx == 4, d * d - 0.01, d))
+
+    x, rows, calls = _recorded(g, lo, hi, 1e-12, 0.0)
+    assert np.all(np.isnan(x[bad])) and np.all(np.isnan(rows[:, bad]))
+    good = np.setdiff1d(np.arange(lo.size), bad)
+    np.testing.assert_allclose(x[good], root[good], rtol=0, atol=1e-11)
+    # neither is priced after the first call
+    assert all(not np.isin(bad, idx).any() for _, idx in calls[1:])
+
+
+def test_lane_turning_nan_stops_as_nan():
+    _, lo, hi = _brackets(4, 4)
+    root = 0.5 * (lo + hi)
+
+    def g(x, idx):
+        ends = (x == lo[idx]) | (x == hi[idx])
+        return np.where((idx == 2) & ~ends, np.nan, x - root[idx])
+
+    x, rows, calls = _recorded(g, lo, hi, 1e-12, 0.0)
+    assert np.isnan(x[2]) and np.all(np.isnan(rows[:, 2]))
+    assert sum(2 in idx for _, idx in calls[1:]) == 1
+    assert np.all(np.isfinite(np.delete(x, 2)))
+
+
+def test_root_on_a_bracket_end_is_not_iterated():
+    lo, hi = np.array([0.0, 1.0]), np.array([2.0, 3.0])
+    x, rows, calls = _recorded(lambda x, idx: x * (x - 2.0), lo, hi,
+                               0.0, 0.0)
+    assert x[0] == 0.0 or x[0] == 2.0
+    assert rows[0][0] == 0.0
+    assert all(0 not in idx for _, idx in calls[1:])
+    assert x[1] == 2.0

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from impulse_bands import (NoIntervention, SolverError, assemble_value,
-                           scan_slopes, smooth_fit_check, solve_gamma,
-                           tangency_solve)
+                           build_context, scan_slopes, smooth_fit_check,
+                           solve_gamma, tangency_solve)
 from impulse_bands.checks import check_f_concavity
 from impulse_bands.oracle import pinned_envelope
-from impulse_bands.solver import _target_grid, stopping_grid, stopping_value
+from impulse_bands.solver import (_tangency_residual, _target_grid,
+                                  stopping_grid, stopping_value)
 
 
 # ---------------------------------------------------------------------------
@@ -19,7 +21,7 @@ def test_tangency_at_published_target(bm_ctx):
     st = tangency_solve(bm_ctx, 5.077)
     assert st.b == pytest.approx(12.261, rel=1e-2)
     assert st.beta == pytest.approx(0.0492, rel=1e-2)
-    assert abs(st.tangency_residual) < 1e-6
+    assert abs(st.tangency_residual) <= 1e-10
     assert st.n_tangency_roots == 1 and not st.multi_trigger
 
 
@@ -37,6 +39,42 @@ def test_tangency_ou(ou_ctx):
     st = tangency_solve(ou_ctx, 0.2192)
     assert st.b == pytest.approx(0.6220, rel=1e-2)
     assert st.beta == pytest.approx(0.5749, rel=1e-2)
+
+
+@pytest.mark.parametrize("name", ["bm", "ou", "sine", "statevol"])
+def test_bands_meet_the_first_order_conditions(name, request):
+    ctx = request.getfixturevalue(f"{name}_ctx")
+    scan = request.getfixturevalue(f"{name}_scan")
+    assert scan.stages
+    for st in scan.stages:
+        assert abs(st.tangency_residual) <= 1e-10
+        # the residual is the one the root-finder drove to zero
+        resid = _tangency_residual(ctx, st.b, st.a, st.beta)
+        assert float(resid) == st.tangency_residual
+    # every bracket of both stages showed a sign change
+    assert not any("sign change" in w for w in scan.warnings)
+
+
+def test_scan_prices_the_pair_a_bounded_number_of_times(ou_cfg, ou_ctx):
+    # golden-section search made 1078 vector evaluations of the pair per
+    # scan on this config; the first-order conditions take a few dozen
+    calls = dict.fromkeys(("psi", "phi", "dpsi", "dphi"), 0)
+
+    def counted(name):
+        fn = getattr(ou_ctx.pair, name)
+
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+        return call
+
+    pair = dataclasses.replace(
+        ou_ctx.pair, **{name: counted(name) for name in calls})
+    ctx = build_context(ou_cfg.problem, ou_cfg.solver, pair=pair)
+    calls.update(dict.fromkeys(calls, 0))
+    scan = scan_slopes(ctx)
+    assert len(scan.policy.bands) == 1
+    assert max(calls.values()) < 200, calls
 
 
 def test_no_intervention_signal(no_intervention_ctx):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 
 from impulse_bands import (SolverError, build_context, concavity_profile,
                            finiteness_check, load_config)
+from impulse_bands.errors import ImpulseError
+from impulse_bands.transform import right_march
 from impulse_bands.expressions import parse_expr
 from impulse_bands.model import (DiffusionSpec, ImpulseProblem, SolverOptions)
 from impulse_bands.simulate import SimConfig, simulate_policy
@@ -187,6 +190,37 @@ def test_finiteness_examples(bm_ctx, ou_ctx):
     assert fin.finite and fin.q is not None
     fin = finiteness_check(ou_ctx, 0.22)
     assert fin.finite
+
+
+def test_one_march_serves_every_target(bm_ctx, ou_ctx):
+    # at an infinite boundary the march does not depend on the target, so
+    # pricing it once gives the same estimates as pricing it per target
+    for ctx in (bm_ctx, ou_ctx):
+        march = right_march(ctx)
+        assert march[0].size == 12
+        for a in np.linspace(ctx.window[0] + 0.1, ctx.window[1] - 0.1, 5):
+            shared = finiteness_check(ctx, a, march)
+            assert shared == finiteness_check(ctx, a)
+
+
+def test_march_stops_where_the_pair_raises(bm_ctx):
+    # the pair stops being evaluable at the eighth probe: the march keeps
+    # the seven before it, as when every probe was priced alone
+    xs = right_march(bm_ctx)[0]
+    phi = bm_ctx.pair.phi
+
+    def short_phi(x):
+        if np.any(np.asarray(x) >= xs[7]):
+            raise ImpulseError("outside the constructed window")
+        return phi(x)
+
+    ctx = dataclasses.replace(
+        bm_ctx, pair=dataclasses.replace(bm_ctx.pair, phi=short_phi))
+    short = right_march(ctx)
+    assert short[0].tobytes() == xs[:7].tobytes()
+    assert short[1].tobytes() == phi(xs[:7]).tobytes()
+    fin = finiteness_check(ctx, 5.0)
+    assert fin.finite and len(fin.estimates) == 6
 
 
 def test_finiteness_gamma_one_variant():
