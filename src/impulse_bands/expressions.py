@@ -9,6 +9,10 @@ input leaves the mathematical domain (division by zero, log of a
 non-positive number, fractional power of a negative base, ...).  Scalar
 arguments give a Python float, array arguments a float array of their
 broadcast shape, also from a constant or an expression ignoring a variable.
+The structure of an expression is read from its parse, never from samples:
+``Expr.reads_all`` tells whether it reads every variable, and
+``Expr.polynomial`` gives the exact coefficients of a one-variable
+polynomial, from which the program picks its closed forms.
 """
 
 from __future__ import annotations
@@ -38,6 +42,12 @@ class _Node:
     def to_text(self, parent_prec=0):
         raise NotImplementedError
 
+    def poly(self, max_degree):
+        """The subtree's value (a float) when it reads no variable, its
+        coefficients (a tuple, see ``Expr.polynomial``) when it is a
+        polynomial of at most max_degree in the variable, otherwise None."""
+        return None
+
 
 class _Num(_Node):
     __slots__ = ("value",)
@@ -46,6 +56,9 @@ class _Num(_Node):
         self.value = float(value)
 
     def eval(self, env):
+        return self.value
+
+    def poly(self, max_degree):
         return self.value
 
     def to_text(self, parent_prec=0):
@@ -64,6 +77,9 @@ class _Var(_Node):
     def eval(self, env):
         return env[self.name]
 
+    def poly(self, max_degree):
+        return _poly_trim((0.0, 1.0), max_degree)
+
     def to_text(self, parent_prec=0):
         return self.name
 
@@ -77,6 +93,12 @@ class _Neg(_Node):
 
     def eval(self, env):
         return -self.arg.eval(env)
+
+    def poly(self, max_degree):
+        p = self.arg.poly(max_degree)
+        if isinstance(p, tuple):
+            return _poly_trim([-c for c in p], max_degree)
+        return None if p is None else -p
 
     def to_text(self, parent_prec=0):
         inner = f"-{self.arg.to_text(self.PREC)}"
@@ -104,6 +126,25 @@ def _pow(a, b):
     return np.power(a, b)
 
 
+def _poly_trim(coefs, max_degree):
+    """coefs without trailing zeros, -0.0 read as 0.0, or None when the
+    degree is still above max_degree."""
+    coefs = list(coefs)
+    while coefs and coefs[-1] == 0.0:
+        coefs.pop()
+    if len(coefs) > max_degree + 1:
+        return None
+    return tuple(c + 0.0 for c in coefs)
+
+
+def _poly_mul(a, b, max_degree):
+    out = [0.0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_trim(out, max_degree)
+
+
 _BINOPS = {
     "+": (operator.add, 0),
     "-": (operator.sub, 0),
@@ -129,6 +170,36 @@ class _Bin(_Node):
 
     def eval(self, env):
         return self.fn(self.left.eval(env), self.right.eval(env))
+
+    def poly(self, max_degree):
+        a = self.left.poly(max_degree)
+        b = self.right.poly(max_degree)
+        if a is None or b is None:
+            return None
+        if not isinstance(a, tuple) and not isinstance(b, tuple):
+            return float(self.fn(a, b))
+        if self.op in "+-*":
+            a = a if isinstance(a, tuple) else (a,)
+            b = b if isinstance(b, tuple) else (b,)
+            if self.op == "*":
+                return _poly_mul(a, b, max_degree)
+            n = max(len(a), len(b))
+            a, b = a + (0.0,) * (n - len(a)), b + (0.0,) * (n - len(b))
+            return _poly_trim([self.fn(x, y) for x, y in zip(a, b)],
+                              max_degree)
+        # a polynomial over a constant b, or raised to a constant integer
+        # b that keeps the degree, and b itself, at most max_degree
+        if isinstance(b, tuple):
+            return None
+        if self.op == "/":
+            return None if b == 0 else _poly_trim([c / b for c in a],
+                                                   max_degree)
+        if not (b.is_integer() and 0 <= max(len(a) - 1, 1) * b <= max_degree):
+            return None
+        out = (1.0,)
+        for _ in range(int(b)):
+            out = _poly_mul(out, a, max_degree)
+        return out
 
     def to_text(self, parent_prec=0):
         prec = _BINOPS[self.op][1]
@@ -173,6 +244,12 @@ class _Call(_Node):
 
     def eval(self, env):
         return _CALLS[self.fn](self.arg.eval(env))
+
+    def poly(self, max_degree):
+        p = self.arg.poly(max_degree)
+        if p is None or isinstance(p, tuple):
+            return None
+        return float(_CALLS[self.fn](p))
 
     def to_text(self, parent_prec=0):
         return f"{self.fn}({self.arg.to_text(0)})"
@@ -360,6 +437,30 @@ class Expr:
         if isinstance(out, np.ndarray) and out.ndim:
             return out
         return float(out)
+
+    def polynomial(self, max_degree):
+        """The exact coefficients of a one-variable expression that is a
+        polynomial of degree at most ``max_degree``, lowest degree first
+        and without trailing zeros (so () for zero); None for any other.
+
+        They are read from the parse, through +, -, *, unary minus,
+        division by a constant and constant non-negative integer powers.  A
+        subtree that reads no variable counts as its value, so
+        ``sqrt(2)*(1 - x)`` is linear; every subtree that reads the
+        variable has to be such a polynomial itself.  A constant that
+        cannot be evaluated or is not finite gives None."""
+        if len(self.variables) != 1:
+            raise TypeError(
+                f"expression over {self.variables} is not in one variable")
+        try:
+            with np.errstate(all="ignore"):
+                p = self._root.poly(max_degree)
+        except ExprEvalError:
+            return None
+        if p is None:
+            return None
+        p = _poly_trim(p if isinstance(p, tuple) else (p,), max_degree)
+        return p if p is not None and all(map(math.isfinite, p)) else None
 
     def __str__(self):
         return self._root.to_text(0)

@@ -6,8 +6,9 @@ psi is the increasing and phi the decreasing positive solution of
 
 on the state interval.  The ratio F = psi/phi is the strictly increasing
 coordinate change in which stopping values become concave majorants.  A
-closed-form catalog covers standard Brownian motion (including the
-zero-discount case with an absorbing left endpoint) and the
+closed-form catalog, matched on the exact coefficients of the drift and the
+volatility (``Expr.polynomial``), covers standard Brownian motion
+(including the zero-discount case with an absorbing left endpoint) and the
 Ornstein-Uhlenbeck process, whose pair is built from parabolic cylinder
 functions evaluated through the Hermite-function integral
 
@@ -27,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (CatalogMissError, ImpulseError, SolverError,
                      ValidationError)
@@ -263,12 +263,12 @@ def _log_chebyshev(exact, d_exact, lo, hi):
         mid = 0.5 * (ends[:, 0] + ends[:, 1])
         half = 0.5 * (ends[:, 1] - ends[:, 0])
         nodes = mid[:, None] + half[:, None] * _CHEB_NODES
-        try:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            try:
                 logs = np.log(exact(nodes.ravel())).reshape(nodes.shape)
-        except ImpulseError:
-            logs = np.full(nodes.shape, np.nan)
-        tails = np.abs(logs @ _CHEB_TAIL.T)
+            except ImpulseError:
+                logs = np.full(nodes.shape, np.nan)
+            tails = np.abs(logs @ _CHEB_TAIL.T)
         pending_next = []
         for (p_lo, p_hi), vals, tail in zip(pending, logs, tails):
             if np.all(tail <= _CHEB_TAIL_TOL):
@@ -357,35 +357,20 @@ class FundamentalPair:
 # Closed-form catalog
 # ---------------------------------------------------------------------------
 
-def _structure_grid(spec):
-    lo = spec.lo if math.isfinite(spec.lo) else -10.0
-    hi = spec.hi if math.isfinite(spec.hi) else 10.0
-    if not lo < hi:
-        lo, hi = -10.0, 10.0
-    pad = (hi - lo) / 66
-    return np.linspace(lo + pad, hi - pad, 64)
-
-
 def _match_catalog(spec):
-    xs = _structure_grid(spec)
-    mu = spec.drift(xs)
-    sg = spec.vol(xs)
-
-    if np.max(np.abs(mu)) <= 1e-12 and np.max(np.abs(sg - 1.0)) <= 1e-12:
+    """("bm",), ("ou", delta, m, sigma0) or None, read from the exact
+    coefficients of the drift (at most linear) and the volatility (a
+    constant): BM is drift 0 with volatility 1, OU a drift of negative
+    slope with a positive constant volatility."""
+    drift = spec.drift.polynomial(1)
+    vol = spec.vol.polynomial(0)
+    if drift is None or vol is None:
+        return None
+    if drift == () and vol == (1.0,):
         return ("bm",)
-
-    sigma0 = float(np.mean(sg))
-    if np.max(np.abs(sg - sigma0)) <= 1e-10 * (1.0 + sigma0):
-        coef = np.polynomial.polynomial.polyfit(xs, mu, 1)
-        fit = coef[0] + coef[1] * xs
-        mu_scale = 1.0 + np.max(np.abs(mu))
-        if np.max(np.abs(mu - fit)) <= 1e-10 * mu_scale:
-            q = float(coef[1])
-            # a rounding-level slope (a constant drift) is not OU
-            if q * (xs[-1] - xs[0]) < -1e-10 * mu_scale:
-                delta = -q
-                m = float(coef[0]) / delta
-                return ("ou", delta, m, sigma0)
+    if len(drift) == 2 and drift[1] < 0 and vol and vol[0] > 0:
+        delta = -drift[1]
+        return ("ou", delta, drift[0] / delta, vol[0])
     return None
 
 
@@ -429,6 +414,15 @@ def _ou_pair(spec, delta, m, sigma0):
     nu = -spec.alpha / delta
     if nu >= 0:
         raise CatalogMissError("OU catalog needs alpha > 0")
+    # the largest constant the cylinder functions need, (1 - nu) Gamma(1 - nu)
+    # of the derivatives' order nu - 1, leaves the float range first
+    try:
+        finite = math.isfinite((1.0 - nu) * math.gamma(1.0 - nu))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise CatalogMissError(
+            f"OU order nu = {nu:.6g} overflows the cylinder functions")
     root = math.sqrt(2.0 * delta)
 
     # the table and scalar_or_array pass every evaluator a float array
@@ -504,6 +498,8 @@ def _log_branch(spec, x0, x1, rate0, c, rtol):
     evaluators u and u' = r u, normalized to u(c) = 1, which raise outside
     [min(x0, x1), max(x0, x1)].
     """
+    from scipy.integrate import solve_ivp
+
     mu, sig, alpha = spec.drift, spec.vol, spec.alpha
 
     def rhs(x, y):

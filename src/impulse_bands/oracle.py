@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import spsolve
 
 from .errors import OracleError
 from .transform import finiteness_check
@@ -254,6 +252,10 @@ def _policy_value(ws, ys, pin, env, m_phi, target):
     rhs[jump] = ws.kbar_at(jump, to) / ws.phi[jump]
     if ruin.size:
         rhs[ruin] = ws.to_ruin[ruin] / ws.phi[ruin]
+    # imported here, so that only the policy iteration loads scipy.sparse
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spsolve
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # a singular matrix warns
         sol = spsolve(csc_matrix((vals, (rows, cols)), shape=(n + 1, n + 1)),

@@ -91,8 +91,8 @@ class ValueFunctionRep:
 
     def _dv0(self, x):
         c = self.ctx
-        beta = self.policy.slope
-        return beta * c.deta(x) + c.D * c.pair.dphi(x) + c.dg(x)
+        dphi, deta = _pair_slopes(c, x)
+        return self.policy.slope * deta + c.D * dphi + c.dg(x)
 
     def _piecewise(self, xs, inner, jump):
         """inner(xs) below the last trigger b_top; at and beyond it
@@ -167,14 +167,19 @@ def _chord_slope(ctx, b, a, at_b, at_a):
     return (kab - ctx.D * (phi_b - phi_a)) / (eta_b - eta_a)
 
 
+def _pair_slopes(ctx, x):
+    """(dphi, deta) at x, deta = dpsi - F_lo dphi the derivative of eta."""
+    dphi = ctx.pair.dphi(x)
+    return dphi, ctx.pair.dpsi(x) - ctx.F_lo * dphi
+
+
 def _tangency_residual(ctx, b, a, beta):
     """beta deta(b) + D dphi(b) - d kbar(b, a)/db relative to
     |beta deta(b)| + |d kbar/db|: zero where the line of slope beta touches
     the shifted reward at the trigger b, of the sign of -d beta_vm/db.
     The central difference of kbar keeps it consistent with a
     piecewise-linear resolvent g."""
-    dphi = ctx.pair.dphi(b)
-    deta = ctx.pair.dpsi(b) - ctx.F_lo * dphi
+    dphi, deta = _pair_slopes(ctx, b)
     dkb = central_diff(lambda x: ctx.kbar(x, a), b)
     return (beta * deta + ctx.D * dphi - dkb) \
         / (np.abs(beta * deta) + np.abs(dkb) + 1e-300)
@@ -391,8 +396,7 @@ def _envelope_slope(ctx, b, a, beta):
     """d kbar(b, a)/da + D dphi(a) + beta deta(a) relative to
     |d kbar/da| + |beta deta(a)|: by the envelope theorem of the sign of
     d beta*/da at a target a whose best trigger b has slope beta."""
-    dphi = ctx.pair.dphi(a)
-    deta = ctx.pair.dpsi(a) - ctx.F_lo * dphi
+    dphi, deta = _pair_slopes(ctx, a)
     dka = central_diff(lambda y: ctx.kbar(b, y), a)
     return (dka + ctx.D * dphi + beta * deta) \
         / (np.abs(dka) + np.abs(beta * deta) + 1e-300)

@@ -73,10 +73,6 @@ class TransformContext:
         """
         return self.kbar(x, np.minimum(x, a))
 
-    def deta(self, x):
-        """Derivative of eta = psi - F_lo phi = phi (F - F_lo)."""
-        return self.pair.dpsi(x) - self.F_lo * self.pair.dphi(x)
-
     def line(self, y, beta):
         """The candidate value line W(y) = beta (y - F_lo) + D."""
         return beta * (y - self.F_lo) + self.D
@@ -90,22 +86,12 @@ class TransformContext:
 # Resolvent of the running reward
 # ---------------------------------------------------------------------------
 
-def _quadratic_fit(f, xs):
-    ys = f(xs)
-    coef = np.polynomial.polynomial.polyfit(xs, ys, 2)
-    coef[np.abs(coef) <= 1e-12 * (1.0 + np.max(np.abs(coef)))] = 0.0
-    fit = coef[0] + coef[1] * xs + coef[2] * xs * xs
-    scale = 1.0 + np.max(np.abs(ys))
-    if np.max(np.abs(ys - fit)) <= 1e-10 * scale:
-        return coef
-    return None
-
-
 def compute_g(problem, pair, window, n_grid=8001):
     """Expected discounted running reward g and its derivative.
 
-    Returns (g, dg, provenance).  Closed forms cover f = 0 and polynomial
-    rewards of degree <= 2 on standard Brownian motion; otherwise
+    Returns (g, dg, provenance).  The exact coefficients of f, read from
+    its parse (``Expr.polynomial``), pick the closed forms: f = 0, and a
+    polynomial f of degree <= 2 on standard Brownian motion.  Otherwise
     (A - alpha) g = -f is solved through the resolvent kernel
     w^-1 psi(x ^ y) phi(x v y) m(y) dy on the truncated window, which
     builds in the correct growth behavior at both ends.  Every route's g
@@ -113,13 +99,24 @@ def compute_g(problem, pair, window, n_grid=8001):
     """
     d = problem.diffusion
     f = problem.running_reward
-    x_lo, x_hi = window
-    xs = np.linspace(x_lo, x_hi, n_grid)
-
-    fv = f(xs)
-    if np.max(np.abs(fv)) == 0.0:
+    coef = f.polynomial(2)
+    if coef == ():
         zero = lambda x: scalar_or_array(np.zeros_like, x)
         return zero, zero, "zero"
+
+    if coef is not None and pair.provenance == "analytic_bm" and d.alpha > 0:
+        s0, s1, s2 = coef + (0.0,) * (3 - len(coef))
+        a2 = s2 / d.alpha
+        a1 = s1 / d.alpha
+        a0 = (s0 + a2) / d.alpha
+
+        def g(x):
+            return scalar_or_array(lambda v: a0 + a1 * v + a2 * v * v, x)
+
+        def dg(x):
+            return scalar_or_array(lambda v: a1 + 2.0 * a2 * v, x)
+
+        return g, dg, "analytic_bm_quadratic"
 
     def evaluable(pts):
         try:
@@ -130,6 +127,7 @@ def compute_g(problem, pair, window, n_grid=8001):
 
     # push the quadrature window outward until the speed measure kills the
     # tails (or the coefficients stop being evaluable)
+    x_lo, x_hi = window
     span = x_hi - x_lo
     lo_q, hi_q = x_lo, x_hi
     for frac in (1.5, 0.75, 0.25):
@@ -139,24 +137,8 @@ def compute_g(problem, pair, window, n_grid=8001):
             hi_q = x_hi + frac * span
     if (lo_q, hi_q) != (x_lo, x_hi):
         n_grid = min(int(n_grid * (hi_q - lo_q) / span) | 1, 32001)
-        xs = np.linspace(lo_q, hi_q, n_grid)
-        fv = f(xs)
-
-    if pair.provenance == "analytic_bm" and d.alpha > 0:
-        coef = _quadratic_fit(f, xs)
-        if coef is not None:
-            s0, s1, s2 = (float(c) for c in coef)
-            a2 = s2 / d.alpha
-            a1 = s1 / d.alpha
-            a0 = (s0 + a2) / d.alpha
-
-            def g(x):
-                return scalar_or_array(lambda v: a0 + a1 * v + a2 * v * v, x)
-
-            def dg(x):
-                return scalar_or_array(lambda v: a1 + 2.0 * a2 * v, x)
-
-            return g, dg, "analytic_bm_quadratic"
+    xs = np.linspace(lo_q, hi_q, n_grid)
+    fv = f(xs)
 
     # resolvent quadrature: scale density s, speed density m
     from scipy.integrate import cumulative_simpson

@@ -81,14 +81,19 @@ def test_solver_failure_exit_2(tmp_path, capsys):
     assert "solver error" in capsys.readouterr().err
 
 
-def _run_cli(*args):
-    """python -W error -m impulse_bands with the given arguments."""
+def _run_python(*args):
+    """python -W error with the given arguments, importing from src/."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "impulse_bands", *args],
+        [sys.executable, "-W", "error", *args],
         capture_output=True, text=True, env=env, timeout=300)
+
+
+def _run_cli(*args):
+    """python -W error -m impulse_bands with the given arguments."""
+    return _run_python("-m", "impulse_bands", *args)
 
 
 def _run_module(tmp_path, text):
@@ -178,13 +183,41 @@ x_max = 10
 
 
 def test_constant_negative_drift_solves(tmp_path):
-    # the fitted drift slope is rounding noise (-8.6e-18), not an OU pull
+    # a constant drift has no slope, so no OU pull
     run = _run_module(tmp_path, CONSTANT_NEGATIVE_DRIFT)
     assert run.returncode == 0, run.stderr
     assert run.stderr == ""
     assert "1 band(s), beta*=17.90" in run.stdout
     report = (tmp_path / "o" / "report.txt").read_text()
     assert "pair_provenance = numeric" in report
+
+
+@pytest.mark.parametrize("drift", ["0.3 - 0.000001*x", "0.3 - 1e-17*x"])
+def test_slow_mean_reversion_takes_the_numeric_pair(tmp_path, drift):
+    # an OU order nu = -alpha/delta this large overflows the constants of
+    # the cylinder functions, so the catalog declines it
+    text = read_config("ou_dividend.cfg").replace(
+        'drift = "delta*(m - x)"', f'drift = "{drift}"')
+    run = _run_module(tmp_path, text)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr == ""
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert "pair_provenance = numeric" in report
+
+
+def test_closed_form_solve_loads_no_scipy(tmp_path):
+    # scipy is imported only where the numeric pair, the resolvent g and
+    # the policy iteration use it
+    code = "\n".join([
+        "import sys",
+        "import impulse_bands",
+        "from impulse_bands.cli import main",
+        f"assert main(['solve', {BM!r}, '--out', {str(tmp_path / 'o')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    run = _run_python("-c", code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 NATURAL_OU = """

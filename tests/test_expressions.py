@@ -13,6 +13,42 @@ def test_polynomial():
     assert e(3.0) == 9.0
 
 
+@pytest.mark.parametrize("text, degree, coefs", [
+    ("delta*(m - x)", 1, (0.09000000000000001, -0.1)),
+    ("-x^2", 2, (0.0, 0.0, -1.0)),
+    ("x - x", 2, ()),
+    ("x/2", 2, (0.0, 0.5)),
+    ("exp(-0.1)*x", 2, (0.0, math.exp(-0.1))),
+    ("sqrt(2)*(1 - x)", 1, (math.sqrt(2.0), -math.sqrt(2.0))),
+    ("sigma", 0, (0.35,)),
+    ("(1 + x)^2 - 1", 2, (0.0, 2.0, 1.0)),
+    ("x*x*x", 2, None),
+    ("x^3 - x", 2, None),
+    ("x", 0, None),
+    ("abs(x)", 2, None),
+    ("2^x", 2, None),
+    ("x^0.5", 2, None),
+    ("1/0*x", 2, None),
+    ("x/(1 - 1)", 2, None),
+    ("exp(1000)*x", 2, None),
+])
+def test_polynomial_coefficients(text, degree, coefs):
+    e = parse_expr(text, ("x",), {"delta": 0.1, "m": 0.9, "sigma": 0.35})
+    got = e.polynomial(degree)
+    assert got == coefs
+    if coefs is not None:
+        assert all(type(c) is float for c in got)
+        xs = np.linspace(-2.0, 3.0, 11)
+        np.testing.assert_allclose(
+            np.polynomial.polynomial.polyval(xs, got or (0.0,)), e(xs),
+            rtol=1e-15, atol=1e-15)
+
+
+def test_polynomial_needs_one_variable():
+    with pytest.raises(TypeError):
+        parse_expr("x - y", ("x", "y")).polynomial(1)
+
+
 def test_example_cost_at_published_band():
     e = parse_expr("-c - lambda*(x - y)", ("x", "y"),
                    params={"c": 150, "lambda": 50})

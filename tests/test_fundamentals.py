@@ -12,7 +12,7 @@ from impulse_bands import (ValidationError, analytic_fundamentals,
 from impulse_bands.errors import CatalogMissError, ImpulseError
 from impulse_bands.model import DiffusionSpec, resolve_window
 from impulse_bands.expressions import parse_expr
-from tests.conftest import STATEVOL_CFG
+from tests.conftest import STATEVOL_CFG, read_config
 
 
 def bm_spec(alpha=0.2, boundary="natural", lo=-math.inf):
@@ -209,6 +209,40 @@ def test_not_in_catalog():
         analytic_fundamentals(spec)
 
 
+def _configured_spec(name, old=None, new=None):
+    """The diffusion and window of a shipped config, with old replaced."""
+    text = read_config(name)
+    if old is not None:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = load_config(text)
+    return cfg.problem.diffusion, resolve_window(cfg.problem, cfg.solver)
+
+
+def test_ou_dividend_coefficients_are_exact():
+    spec, _ = _configured_spec("ou_dividend.cfg")
+    assert fundamentals._match_catalog(spec) == ("ou", 0.1, 0.9, 0.35)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("bm_quadratic_cost.cfg", 'drift = "0"', 'drift = "abs(x - 12) + x - 12"'),
+    ("bm_quadratic_cost.cfg", 'vol = "1"',
+     'vol = "1 + abs(x - 12) - (12 - x)"'),
+    ("ou_dividend.cfg", 'drift = "delta*(m - x)"',
+     'drift = "delta*(m - x) + abs(x - 11) + x - 11"'),
+    ("ou_dividend.cfg", 'drift = "delta*(m - x)"', 'drift = "0.3"'),
+    ("ou_dividend.cfg", 'drift = "delta*(m - x)"', 'drift = "-0.3"'),
+], ids=["kinked_bm_drift", "kinked_bm_vol", "kinked_ou_drift",
+        "positive_constant_drift", "negative_constant_drift"])
+def test_off_catalog_coefficients_take_the_numeric_pair(name, old, new):
+    # each kink lies right of the working window's sample of the old fit,
+    # and a constant drift has no slope
+    spec, window = _configured_spec(name, old, new)
+    assert fundamentals._match_catalog(spec) is None
+    pair = fundamentals.fundamentals_for(spec, window=window)
+    assert pair.provenance == "numeric"
+
+
 def test_wronskian_positive():
     for pair in (analytic_fundamentals(bm_spec()),
                  analytic_fundamentals(ou_spec())):
@@ -374,6 +408,18 @@ def test_numeric_pair_raises_outside_window(spec):
         for x in (lo - 1e-6, hi + 1e-6):
             with pytest.raises(ImpulseError, match="outside the constructed"):
                 fn(x)
+
+
+def test_numeric_pair_with_underflowing_nodes_warns_nothing():
+    # the table's nodes price psi to zero far right of the kink, whose log
+    # is -inf; the tail test reading it raises no RuntimeWarning
+    spec = DiffusionSpec(
+        drift=parse_expr("abs(x - 12) + x - 12 + 0.01*x^2", ("x",)),
+        vol=parse_expr("0.35", ("x",)),
+        alpha=0.105, lo=0.0, hi=math.inf, boundary="absorbing")
+    pair = numeric_fundamentals(spec, window=(0.0, 15.0))
+    xs = np.linspace(0.0, 15.0, 31)
+    assert np.all(np.diff(pair.F(xs)) > 0)
 
 
 @pytest.mark.xfail(strict=True, reason=(

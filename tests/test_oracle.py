@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.sparse.linalg
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import spsolve
 
-from impulse_bands import (OracleError, concave_envelope, oracle,
-                           value_iteration)
+from impulse_bands import OracleError, concave_envelope, value_iteration
 from impulse_bands.checks import (_brute_force_envelope, _chord_triples,
                                   _envelope_instances,
                                   check_envelope_brute_force)
@@ -333,8 +333,9 @@ def test_policy_steps_reach_sweep_fixpoint(name, request, monkeypatch):
         assert np.all(after >= sweep)
         before = after
 
-    # a singular solve leaves every step a plain sweep, silently
-    monkeypatch.setattr(oracle, "spsolve",
+    # a singular solve leaves every step a plain sweep, silently; the
+    # oracle imports spsolve from scipy when it runs
+    monkeypatch.setattr(scipy.sparse.linalg, "spsolve",
                         lambda a, b: spsolve(csc_matrix(a.shape), b))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
