@@ -43,9 +43,8 @@ class _Node:
         raise NotImplementedError
 
     def poly(self, max_degree):
-        """The subtree's value (a float) when it reads no variable, its
-        coefficients (a tuple, see ``Expr.polynomial``) when it is a
-        polynomial of at most max_degree in the variable, otherwise None."""
+        """The subtree's coefficients (see ``Expr.polynomial``) when it is
+        a polynomial of degree at most max_degree, otherwise None."""
         return None
 
 
@@ -59,7 +58,7 @@ class _Num(_Node):
         return self.value
 
     def poly(self, max_degree):
-        return self.value
+        return _poly_trim((self.value,), max_degree)
 
     def to_text(self, parent_prec=0):
         if self.value < 0:
@@ -96,9 +95,7 @@ class _Neg(_Node):
 
     def poly(self, max_degree):
         p = self.arg.poly(max_degree)
-        if isinstance(p, tuple):
-            return _poly_trim([-c for c in p], max_degree)
-        return None if p is None else -p
+        return None if p is None else _poly_trim([-c for c in p], max_degree)
 
     def to_text(self, parent_prec=0):
         inner = f"-{self.arg.to_text(self.PREC)}"
@@ -127,14 +124,19 @@ def _pow(a, b):
 
 
 def _poly_trim(coefs, max_degree):
-    """coefs without trailing zeros, -0.0 read as 0.0, or None when the
-    degree is still above max_degree."""
+    """coefs without trailing zeros, -0.0 read as 0.0; None when one is not
+    finite or the degree is still above max_degree."""
     coefs = list(coefs)
     while coefs and coefs[-1] == 0.0:
         coefs.pop()
-    if len(coefs) > max_degree + 1:
+    if len(coefs) > max_degree + 1 or not all(map(math.isfinite, coefs)):
         return None
     return tuple(c + 0.0 for c in coefs)
+
+
+def _poly_value(p):
+    """The value of a polynomial of degree at most 0."""
+    return p[0] if p else 0.0
 
 
 def _poly_mul(a, b, max_degree):
@@ -176,28 +178,27 @@ class _Bin(_Node):
         b = self.right.poly(max_degree)
         if a is None or b is None:
             return None
-        if not isinstance(a, tuple) and not isinstance(b, tuple):
-            return float(self.fn(a, b))
-        if self.op in "+-*":
-            a = a if isinstance(a, tuple) else (a,)
-            b = b if isinstance(b, tuple) else (b,)
-            if self.op == "*":
-                return _poly_mul(a, b, max_degree)
+        if self.op == "*":
+            return _poly_mul(a, b, max_degree)
+        if self.op in "+-":
             n = max(len(a), len(b))
             a, b = a + (0.0,) * (n - len(a)), b + (0.0,) * (n - len(b))
-            return _poly_trim([self.fn(x, y) for x, y in zip(a, b)],
-                              max_degree)
-        # a polynomial over a constant b, or raised to a constant integer
-        # b that keeps the degree, and b itself, at most max_degree
-        if isinstance(b, tuple):
+            return _poly_trim(map(self.fn, a, b), max_degree)
+        # a constant, a polynomial over a constant c, or one raised to a
+        # constant integer c that keeps the degree at most max_degree
+        if len(b) > 1:
             return None
+        c = _poly_value(b)
+        if len(a) <= 1:
+            return _poly_trim((float(self.fn(_poly_value(a), c)),),
+                              max_degree)
         if self.op == "/":
-            return None if b == 0 else _poly_trim([c / b for c in a],
+            return None if c == 0 else _poly_trim([v / c for v in a],
                                                    max_degree)
-        if not (b.is_integer() and 0 <= max(len(a) - 1, 1) * b <= max_degree):
+        if not (c.is_integer() and 0 <= (len(a) - 1) * c <= max_degree):
             return None
         out = (1.0,)
-        for _ in range(int(b)):
+        for _ in range(int(c)):
             out = _poly_mul(out, a, max_degree)
         return out
 
@@ -247,9 +248,10 @@ class _Call(_Node):
 
     def poly(self, max_degree):
         p = self.arg.poly(max_degree)
-        if p is None or isinstance(p, tuple):
+        if p is None or len(p) > 1:
             return None
-        return float(_CALLS[self.fn](p))
+        return _poly_trim((float(_CALLS[self.fn](_poly_value(p))),),
+                          max_degree)
 
     def to_text(self, parent_prec=0):
         return f"{self.fn}({self.arg.to_text(0)})"
@@ -445,22 +447,17 @@ class Expr:
 
         They are read from the parse, through +, -, *, unary minus,
         division by a constant and constant non-negative integer powers.  A
-        subtree that reads no variable counts as its value, so
-        ``sqrt(2)*(1 - x)`` is linear; every subtree that reads the
-        variable has to be such a polynomial itself.  A constant that
-        cannot be evaluated or is not finite gives None."""
+        subtree of degree 0 counts as its value, so ``sqrt(2)*(1 - x)`` is
+        linear; every other subtree has to be such a polynomial itself.  A
+        constant that cannot be evaluated or is not finite gives None."""
         if len(self.variables) != 1:
             raise TypeError(
                 f"expression over {self.variables} is not in one variable")
         try:
             with np.errstate(all="ignore"):
-                p = self._root.poly(max_degree)
+                return self._root.poly(max_degree)
         except ExprEvalError:
             return None
-        if p is None:
-            return None
-        p = _poly_trim(p if isinstance(p, tuple) else (p,), max_degree)
-        return p if p is not None and all(map(math.isfinite, p)) else None
 
     def __str__(self):
         return self._root.to_text(0)

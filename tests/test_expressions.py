@@ -22,6 +22,7 @@ def test_polynomial():
     ("sqrt(2)*(1 - x)", 1, (math.sqrt(2.0), -math.sqrt(2.0))),
     ("sigma", 0, (0.35,)),
     ("(1 + x)^2 - 1", 2, (0.0, 2.0, 1.0)),
+    ("x/(x - x + 2)", 1, (0.0, 0.5)),
     ("x*x*x", 2, None),
     ("x^3 - x", 2, None),
     ("x", 0, None),
@@ -31,6 +32,7 @@ def test_polynomial():
     ("1/0*x", 2, None),
     ("x/(1 - 1)", 2, None),
     ("exp(1000)*x", 2, None),
+    ("exp(1000)*0*x", 2, None),
 ])
 def test_polynomial_coefficients(text, degree, coefs):
     e = parse_expr(text, ("x",), {"delta": 0.1, "m": 0.9, "sigma": 0.35})
